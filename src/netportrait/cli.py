@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from dataclasses import asdict
 
@@ -18,7 +19,7 @@ from .divergence import joint_distribution, jsd_bits, legacy_delta, \
     portrait_divergence, weighted_portrait_divergence
 from .experiments import ensemble_distributions, rewiring_curve
 from .graph import ColumnCountError, Graph, GraphParseError, parse_edge_list
-from .portrait import BinSpec, portrait, unique_path_lengths, weighted_portrait
+from .portrait import BinSpec, portrait, weighted_portrait
 
 DEFAULT_BINS = 100
 
@@ -105,15 +106,37 @@ def _check_weighted_flags(args) -> None:
 
 def _load(path: str, args) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh, directed=args.directed, weighted=args.weighted)
+        try:
+            return parse_edge_list(fh, directed=args.directed, weighted=args.weighted)
+        except GraphParseError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
+        return
+    # New files and regular files of ours are renamed into place (through symlinks,
+    # keeping the mode), so no partial file remains; anything else is written in place.
+    target = os.path.realpath(output)
+    st = os.stat(target) if os.path.exists(target) else None
+    if st is not None and not (stat.S_ISREG(st.st_mode)
+                               and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())
+                               and os.access(os.path.dirname(target), os.W_OK)):
+        with open(target, "w", encoding="utf-8") as fh:
             fh.write(text)
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if st is not None:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _cmd_compare(args) -> str:
@@ -146,18 +169,18 @@ def _cmd_matrix(args) -> str:
     k = len(graphs)
     values = [[0.0] * k for _ in range(k)]
     if args.weighted:
-        n_bins = args.bins or DEFAULT_BINS
-        transform = args.transform or "reciprocal"
-        for i in range(k):
-            for j in range(i + 1, k):
-                d = weighted_portrait_divergence(graphs[i], graphs[j], n_bins, transform).d_js
-                values[i][j] = values[j][i] = d
+        n_bins, transform = args.bins or DEFAULT_BINS, args.transform or "reciprocal"
+
+        def d_js(i, j):
+            return weighted_portrait_divergence(graphs[i], graphs[j], n_bins, transform).d_js
     else:
         joints = [joint_distribution(portrait(g)) for g in graphs]
-        for i in range(k):
-            for j in range(i + 1, k):
-                d, _, _ = jsd_bits(joints[i], joints[j])
-                values[i][j] = values[j][i] = d
+
+        def d_js(i, j):
+            return jsd_bits(joints[i], joints[j])[0]
+    for i in range(k):
+        for j in range(i + 1, k):
+            values[i][j] = values[j][i] = d_js(i, j)
     names = [os.path.basename(path) for path in args.files]
     if (args.format or "csv") == "json":
         return json.dumps({"files": names, "d_js": values}, indent=2) + "\n"
@@ -173,7 +196,7 @@ def _cmd_portrait(args) -> str:
         if args.bins is None:
             raise UsageError("weighted portraits need an explicit --bins")
         transform = args.transform or "reciprocal"
-        bins = BinSpec.from_quantiles(unique_path_lengths(g, transform), args.bins)
+        bins = BinSpec.from_quantiles(g._path_lengths(transform)[0], args.bins)
         p = weighted_portrait(g, bins, transform)
     else:
         p = portrait(g)
@@ -219,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        text = _COMMANDS[args.command](args)
+        _emit(_COMMANDS[args.command](args), args.output)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -229,7 +252,6 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.output)
     return 0
 
 

@@ -12,7 +12,7 @@ kept as ``legacy_delta``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class DivergenceReport:
     d_js: float
     kl_p_m_bits: float
     kl_q_m_bits: float
-    rows_compared: int
     n1: int
     m1: int
     n2: int
@@ -56,16 +55,10 @@ class DivergenceReport:
     bin_edges: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "d_js": self.d_js,
-            "kl_p_m_bits": self.kl_p_m_bits,
-            "kl_q_m_bits": self.kl_q_m_bits,
-            "n1": self.n1,
-            "m1": self.m1,
-            "n2": self.n2,
-            "m2": self.m2,
-            "bins": list(self.bin_edges) if self.bin_edges is not None else None,
-        }
+        out = asdict(self)
+        bins = out.pop("bin_edges")
+        out["bins"] = list(bins) if bins is not None else None
+        return out
 
 
 def joint_distribution(p: Portrait) -> JointDistribution:
@@ -120,7 +113,6 @@ def _report(p1: Portrait, p2: Portrait, g1: Graph, g2: Graph,
     d_js, kl_pm, kl_qm = jsd_bits(joint_distribution(p1), joint_distribution(p2))
     return DivergenceReport(
         d_js=d_js, kl_p_m_bits=kl_pm, kl_q_m_bits=kl_qm,
-        rows_compared=max(p1.n_rows, p2.n_rows),
         n1=g1.n_nodes, m1=g1.n_edges, n2=g2.n_nodes, m2=g2.n_edges,
         bin_edges=bins.edges if bins is not None else None,
     )

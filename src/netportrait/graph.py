@@ -87,34 +87,49 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def label_of(self, node: int) -> str:
-        return self.labels[node] if self.labels is not None else str(node)
-
     @cached_property
     def _adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            if not self.directed:
-                adj[v].append(u)
-        return adj
+        """Neighbour lists; out-neighbours when directed."""
+        return self._neighbour_lists(symmetric=not self.directed)
+
+    def _neighbour_lists(self, symmetric: bool, values=None) -> list[list]:
+        """Per node u, in edge order, an entry per edge (u, v) (and (v, u) when symmetric):
+        v, or ``values`` at the edge's index, so lists with and without values line up."""
+        out: list[list] = [[] for _ in range(self.n_nodes)]
+        for i, (u, v) in enumerate(self.edges):
+            out[u].append(v if values is None else values[i])
+            if symmetric:
+                out[v].append(u if values is None else values[i])
+        return out
 
     @cached_property
-    def _adjacency_identity(self) -> list[list[tuple[int, float]]]:
-        return self._build_weighted_adjacency(lambda w: w)
+    def _per_transform(self) -> dict[tuple[str, str], object]:
+        # ("costs" | "sweep", transform) -> value; racing threads store equal values
+        return {}
 
-    @cached_property
-    def _adjacency_reciprocal(self) -> list[list[tuple[int, float]]]:
-        return self._build_weighted_adjacency(lambda w: 1.0 / w)
+    def _costs(self, transform: str) -> list[list[float]]:
+        """Edge costs under ``transform``, aligned with ``_adjacency``."""
+        key = ("costs", transform)
+        if key not in self._per_transform:
+            w = self.weights if self.weights is not None else (1.0,) * self.n_edges
+            self._per_transform[key] = self._neighbour_lists(
+                not self.directed, [1.0 / x for x in w] if transform == "reciprocal" else w)
+        return self._per_transform[key]
 
-    def _build_weighted_adjacency(self, cost) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n_nodes)]
-        for idx, (u, v) in enumerate(self.edges):
-            w = cost(self.weights[idx]) if self.weights is not None else 1.0
-            adj[u].append((v, w))
-            if not self.directed:
-                adj[v].append((u, w))
-        return adj
+    def _path_lengths(self, transform: str) -> tuple[np.ndarray, np.ndarray]:
+        """All-sources sweep, one Dijkstra per source on first use: finite lengths
+        over ordered pairs i != j, source by source, and the n + 1 run offsets."""
+        swept = self._per_transform.get(("sweep", transform))
+        if swept is None:
+            runs = []
+            for source in range(self.n_nodes):
+                dist = sssp_weighted(self, source, transform)
+                dist[source] = np.inf
+                runs.append(dist[np.isfinite(dist)])
+            offsets = np.cumsum([0] + [r.size for r in runs])
+            lengths = np.concatenate(runs) if runs else np.empty(0)
+            swept = self._per_transform[("sweep", transform)] = (lengths, offsets)
+        return swept
 
 
 def parse_edge_list(source: str | bytes | IO, *, directed: bool = False,
@@ -196,27 +211,10 @@ def parse_edge_list(source: str | bytes | IO, *, directed: bool = False,
 
 def connected_components(g: Graph) -> list[int]:
     """Component sizes, largest first (weak connectivity if directed)."""
-    n = g.n_nodes
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    sizes = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        size = 0
-        while stack:
-            u = stack.pop()
-            size += 1
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        sizes.append(size)
+    adj = g._neighbour_lists(symmetric=True) if g.directed else g._adjacency
+    seen = [False] * g.n_nodes
+    sizes = [sum(len(level) for level in _bfs_levels(adj, start, seen))
+             for start in range(g.n_nodes) if not seen[start]]
     sizes.sort(reverse=True)
     return sizes
 
@@ -226,26 +224,28 @@ def _check_source(g: Graph, source: int) -> None:
         raise IndexError(f"source {source} out of range for {g.n_nodes} nodes")
 
 
-def sssp_unweighted(g: Graph, source: int) -> np.ndarray:
-    """Hop-count distances from source; np.inf marks unreachable nodes."""
-    _check_source(g, source)
-    adj = g._adjacency
-    dist = np.full(g.n_nodes, np.inf)
-    dist[source] = 0.0
-    seen = [False] * g.n_nodes
+def _bfs_levels(adj: list[list[int]], source: int, seen: list[bool]):
+    """Yield the BFS frontier at each hop distance from source, marking the
+    nodes reached in ``seen``; already marked nodes are never entered."""
     seen[source] = True
     frontier = [source]
-    d = 0
     while frontier:
-        d += 1
+        yield frontier
         nxt = []
         for u in frontier:
             for v in adj[u]:
                 if not seen[v]:
                     seen[v] = True
-                    dist[v] = d
                     nxt.append(v)
         frontier = nxt
+
+
+def sssp_unweighted(g: Graph, source: int) -> np.ndarray:
+    """Hop-count distances from source; np.inf marks unreachable nodes."""
+    _check_source(g, source)
+    dist = np.full(g.n_nodes, np.inf)
+    for d, level in enumerate(_bfs_levels(g._adjacency, source, [False] * g.n_nodes)):
+        dist[level] = d
     return dist
 
 
@@ -258,7 +258,7 @@ def sssp_weighted(g: Graph, source: int, transform: str = "reciprocal") -> np.nd
     _check_source(g, source)
     if transform not in TRANSFORMS:
         raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
-    adj = g._adjacency_reciprocal if transform == "reciprocal" else g._adjacency_identity
+    nbrs, costs = g._adjacency, g._costs(transform)
     dist = np.full(g.n_nodes, np.inf)
     dist[source] = 0.0
     heap = [(0.0, source)]
@@ -266,7 +266,7 @@ def sssp_weighted(g: Graph, source: int, transform: str = "reciprocal") -> np.nd
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for v, cost in adj[u]:
+        for v, cost in zip(nbrs[u], costs[u]):
             alt = d + cost
             if alt < dist[v]:
                 dist[v] = alt

@@ -7,6 +7,9 @@ invariants: relabeling the nodes leaves them bit-for-bit unchanged. Weighted
 graphs get binned shells; bins come from quantiles of the observed path
 lengths so each bin holds roughly the same number of distinct lengths.
 
+Bins and binned portraits of a graph share one all-sources Dijkstra sweep per
+transform, kept on the graph: 8 bytes per reachable ordered pair once swept.
+
 Each source node contributes independently, so construction could fan out
 across sources; it runs sequentially here and the accumulation order never
 affects the integer counts. Built portraits are immutable.
@@ -14,13 +17,14 @@ affects the integer counts. Built portraits are immutable.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .graph import TRANSFORMS, Graph, sssp_weighted
+from .graph import Graph, _bfs_levels
 
 
 @dataclass(frozen=True)
@@ -47,16 +51,18 @@ class BinSpec:
 
     def bin_index(self, length: float) -> int:
         """Bin holding the given path length; raises if outside all bins."""
-        if length < self.edges[0] or length > self.edges[-1]:
-            raise ValueError(f"path length {length} outside bins {self.edges}")
-        return min(bisect_right(self.edges, length) - 1, self.n_bins - 1)
+        return int(self.index_array(np.array([length]))[0])
+
+    @cached_property
+    def _edge_array(self) -> np.ndarray:
+        return np.asarray(self.edges)
 
     def index_array(self, lengths: np.ndarray) -> np.ndarray:
         if lengths.size and (lengths.min() < self.edges[0] or lengths.max() > self.edges[-1]):
             bad = lengths[(lengths < self.edges[0]) | (lengths > self.edges[-1])][0]
             raise ValueError(f"path length {bad} outside bins {self.edges}")
-        idx = np.searchsorted(self.edges, lengths, side="right") - 1
-        return np.minimum(idx, self.n_bins - 1)
+        return np.minimum(np.searchsorted(self._edge_array, lengths, side="right") - 1,
+                          self.n_bins - 1)
 
     @classmethod
     def from_quantiles(cls, lengths: Iterable[float], n_bins: int) -> "BinSpec":
@@ -64,20 +70,19 @@ class BinSpec:
 
         The lower edge of bin j sits at rank floor(j*n/b) of the n sorted
         unique lengths; coinciding edges collapse, so the effective bin count
-        can be below n_bins. The final edge is the maximum length.
+        can be below n_bins. The final edge is the maximum length. Lengths
+        are unique under exact float equality: 0.1 + 0.1 + 0.1 and 0.3 are
+        two lengths, never merged within a tolerance.
         """
         if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        uniq = sorted(set(float(x) for x in lengths))
-        if not uniq:
+        if not isinstance(lengths, np.ndarray):
+            lengths = list(lengths)
+        uniq = np.unique(np.asarray(lengths, dtype=np.float64))
+        if not uniq.size:
             raise ValueError("no finite positive path lengths to bin")
-        n = len(uniq)
-        lowers = []
-        for j in range(n_bins):
-            val = uniq[(j * n) // n_bins]
-            if not lowers or val > lowers[-1]:
-                lowers.append(val)
-        return cls(edges=tuple(lowers) + (uniq[-1],))
+        lowers = np.unique(uniq[np.arange(n_bins) * uniq.size // n_bins])
+        return cls(edges=tuple(lowers.tolist()) + (uniq[-1].item(),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,30 +180,14 @@ def portrait(g: Graph, *, ignore_weights: bool = False) -> Portrait:
                          "hop-count portrait or use weighted_portrait")
     n = g.n_nodes
     adj = g._adjacency
-    shell_sizes: list[list[int]] = []
-    for source in range(n):
-        seen = [False] * n
-        seen[source] = True
-        frontier = [source]
-        sizes = []
-        while frontier:
-            sizes.append(len(frontier))
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        nxt.append(v)
-            frontier = nxt
-        shell_sizes.append(sizes)
-
-    n_rows = max(len(s) for s in shell_sizes)
-    counts = np.zeros((n_rows, _column_count(n)), dtype=np.int64)
-    for sizes in shell_sizes:
-        for shell, k in enumerate(sizes):
-            counts[shell, k] += 1
-        for shell in range(len(sizes), n_rows):
-            counts[shell, 0] += 1
+    shell_sizes = [[len(level) for level in _bfs_levels(adj, source, [False] * n)]
+                   for source in range(n)]
+    # one cell per (source, shell it reaches); sources past their last shell fill k = 0
+    shells = np.fromiter(chain.from_iterable(map(range, map(len, shell_sizes))), np.int64)
+    ks = np.fromiter(chain.from_iterable(shell_sizes), np.int64)
+    counts = np.zeros((int(shells.max()) + 1, _column_count(n)), dtype=np.int64)
+    np.add.at(counts, (shells, ks), 1)
+    counts[:, 0] = n - counts.sum(axis=1)
     return Portrait(counts=counts, n_nodes=n, directed=g.directed)
 
 
@@ -212,30 +201,23 @@ def weighted_portrait(g: Graph, bins: BinSpec, transform: str = "reciprocal") ->
     _require_nodes(g)
     if not g.weighted:
         raise ValueError("weighted_portrait requires a weighted graph")
-    if transform not in TRANSFORMS:
-        raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
     n = g.n_nodes
+    lengths, offsets = g._path_lengths(transform)
+    per_source = np.empty((n, bins.n_bins), dtype=np.int64)  # nodes in bin b, per source
+    for source in range(n):
+        run = lengths[offsets[source]:offsets[source + 1]]
+        per_source[source] = np.bincount(bins.index_array(run), minlength=bins.n_bins)
     counts = np.zeros((1 + bins.n_bins, _column_count(n)), dtype=np.int64)
     counts[0, 1] = n
-    for source in range(n):
-        dist = sssp_weighted(g, source, transform)
-        dist[source] = np.inf  # self-distance lives in row 0
-        finite = dist[np.isfinite(dist)]
-        per_bin = np.bincount(bins.index_array(finite), minlength=bins.n_bins)
-        for b, k in enumerate(per_bin):
-            counts[1 + b, k] += 1
+    np.add.at(counts, (1 + np.arange(bins.n_bins), per_source), 1)
     return Portrait(counts=counts, n_nodes=n, directed=g.directed,
                     bin_edges=bins.edges)
 
 
 def unique_path_lengths(g: Graph, transform: str = "reciprocal") -> set[float]:
-    """Distinct finite path lengths over ordered pairs i != j."""
-    lengths: set[float] = set()
-    for source in range(g.n_nodes):
-        dist = sssp_weighted(g, source, transform)
-        dist[source] = np.inf
-        lengths.update(float(x) for x in dist[np.isfinite(dist)])
-    return lengths
+    """Distinct finite path lengths over ordered pairs i != j, under exact
+    float equality: a 0.1 + 0.1 + 0.1 path and a 0.3 edge are two lengths."""
+    return set(np.unique(g._path_lengths(transform)[0]).tolist())
 
 
 def make_shared_bins(g1: Graph, g2: Graph, n_bins: int,
@@ -247,8 +229,9 @@ def make_shared_bins(g1: Graph, g2: Graph, n_bins: int,
     """
     if not (g1.weighted and g2.weighted):
         raise ValueError("shared bins require two weighted graphs")
-    pooled = unique_path_lengths(g1, transform) | unique_path_lengths(g2, transform)
-    if not pooled:
+    # each graph's distinct lengths, so the pooled copy is no larger than needed
+    pooled = np.concatenate([np.unique(g._path_lengths(transform)[0]) for g in (g1, g2)])
+    if not pooled.size:
         raise ValueError("no finite path lengths: both graphs are edgeless")
     return BinSpec.from_quantiles(pooled, n_bins)
 

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import stat
+import threading
 
 import pytest
 
@@ -92,7 +95,10 @@ class TestCompare:
         bad.write_text("a b\nnonsense_token\n")
         code, _, err = run(capsys, ["compare", p3_file, str(bad)])
         assert code == 2
-        assert "line 2" in err
+        assert f"{bad}: line 2" in err
+        code, _, err = run(capsys, ["matrix", p3_file, str(bad), p3_file])
+        assert code == 2
+        assert f"{bad}: line 2" in err
 
     def test_nonpositive_weight_is_parse_error(self, capsys, tmp_path):
         f1 = tmp_path / "w1.edges"
@@ -192,6 +198,27 @@ class TestMatrix:
             for j in range(3):
                 assert abs(values[i][j] - values[j][i]) <= 1e-12
 
+    def test_weighted_matrix_sweeps_each_graph_once(self, capsys, tmp_path, monkeypatch):
+        import netportrait.graph
+        dijkstra = netportrait.graph.sssp_weighted
+        sources = []
+
+        def counting(g, source, transform="reciprocal"):
+            sources.append(source)
+            return dijkstra(g, source, transform)
+
+        monkeypatch.setattr(netportrait.graph, "sssp_weighted", counting)
+        texts = ["a b 1\nb c 2\nc d 3\n", "a b 1\nb c 1\nc a 1\nd a 2\n",
+                 "a b 3\nc d 1\n"]
+        paths = []
+        for i, t in enumerate(texts):
+            f = tmp_path / f"w{i}.edges"
+            f.write_text(t)
+            paths.append(str(f))
+        code, _, _ = run(capsys, ["matrix", *paths, "--weighted", "--bins", "4"])
+        assert code == 0
+        assert len(sources) == 3 * 4  # one Dijkstra per source of each 4-node graph
+
     def test_single_file_is_usage_error(self, capsys, p3_file):
         code, _, _ = run(capsys, ["matrix", p3_file])
         assert code == 1
@@ -285,3 +312,59 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["d_js"] == pytest.approx(D_JS_P3_K3, abs=1e-12)
+
+    def test_unwritable_output_is_input_error(self, capsys, tmp_path, p3_file, k3_file):
+        target = tmp_path / "no_such_dir" / "report.json"
+        code, out, err = run(capsys, ["compare", p3_file, k3_file,
+                                      "--output", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not target.parent.exists()
+
+    def test_failed_write_keeps_old_file_and_leaves_no_partial(self, capsys, tmp_path,
+                                                               monkeypatch, p3_file, k3_file):
+        target = tmp_path / "report.json"
+        target.write_text("old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("netportrait.cli.os.replace", failing_replace)
+        code, _, err = run(capsys, ["compare", p3_file, k3_file,
+                                    "--output", str(target)])
+        assert code == 2
+        assert err == "error: disk full\n"
+        assert target.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k3.edges", "p3.edges",
+                                                              "report.json"]
+
+    def test_symlinked_output_is_written_through(self, capsys, tmp_path, p3_file, k3_file):
+        real = tmp_path / "real.json"
+        real.write_text("old\n")
+        real.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        code, _, _ = run(capsys, ["compare", p3_file, k3_file, "--output", str(link)])
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert json.loads(real.read_text())["d_js"] == pytest.approx(D_JS_P3_K3, abs=1e-12)
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k3.edges", "link.json",
+                                                              "p3.edges", "real.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_output_is_written_in_place(self, capsys, tmp_path, p3_file, k3_file):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()),
+                                  daemon=True)
+        reader.start()
+        code, _, _ = run(capsys, ["compare", p3_file, k3_file, "--format", "csv",
+                                  "--output", str(fifo)])
+        reader.join(timeout=10)
+        assert code == 0
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert float(received[0]) == pytest.approx(D_JS_P3_K3, abs=1e-12)

@@ -105,7 +105,6 @@ class TestPortraitDivergence:
         assert r.d_js == pytest.approx(D_JS_P3_K3, abs=1e-12)
         assert r.d_js == pytest.approx(0.306099, abs=1e-6)
         assert r.d_js == pytest.approx(0.5 * (r.kl_p_m_bits + r.kl_q_m_bits), abs=0)
-        assert r.rows_compared == 3
         assert (r.n1, r.m1, r.n2, r.m2) == (3, 2, 3, 3)
 
     def test_invariant_pair_is_zero(self):

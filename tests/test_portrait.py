@@ -182,6 +182,15 @@ class TestSharedBins:
         g = Graph(3, False, ((0, 1), (1, 2)), weights=(1.0, 2.0))
         assert unique_path_lengths(g, "identity") == {1.0, 2.0, 3.0}
 
+    def test_float_ties_use_exact_equality(self):
+        # 0.1 + 0.1 + 0.1 rounds to 0.30000000000000004, a length apart from 0.3
+        g = Graph(6, False, ((0, 1), (1, 2), (2, 3), (4, 5)),
+                  weights=(0.1, 0.1, 0.1, 0.3))
+        lengths = unique_path_lengths(g, "identity")
+        assert sorted(lengths) == [0.1, 0.2, 0.3, 0.30000000000000004]
+        assert BinSpec.from_quantiles(lengths, 4).edges == (
+            0.1, 0.2, 0.3, 0.30000000000000004, 0.30000000000000004)
+
 
 class TestWeightedPortrait:
     def test_weighted_p3_per_length_bins(self):
@@ -230,17 +239,38 @@ class TestWeightedPortrait:
                for (shell, k), c in cells_of(p).items() if k > 0}
         assert got == pytest.approx(want)
 
+    def test_one_and_two_nodes(self):
+        one = Graph(1, False, (), weights=())
+        assert unique_path_lengths(one) == set()
+        assert cells_of(weighted_portrait(one, BinSpec((1.0, 2.0)))) == {(0, 1): 1, (1, 0): 1}
+        two = Graph(2, False, ((0, 1),), weights=(4.0,))
+        assert unique_path_lengths(two) == {0.25}
+        p = weighted_portrait(two, BinSpec.from_quantiles({0.25}, 3))
+        assert cells_of(p) == {(0, 1): 2, (1, 1): 2}
+        arc = Graph(2, True, ((0, 1),), weights=(4.0,))
+        assert unique_path_lengths(arc, "identity") == {4.0}
+        p = weighted_portrait(arc, BinSpec((4.0, 4.0)), "identity")
+        assert cells_of(p) == {(0, 1): 2, (1, 1): 1, (1, 0): 1}
+
     @pytest.mark.parametrize("transform", ["identity", "reciprocal"])
     def test_matches_bruteforce(self, transform):
-        for i, g in enumerate(random_graph_pool(10, seed=35, max_nodes=12, min_nodes=3)):
+        graphs = random_graph_pool(10, seed=35, max_nodes=12, min_nodes=3)
+        # the first few again with two isolated nodes appended
+        graphs += [Graph(g.n_nodes + 2, False, g.edges) for g in graphs[:4]]
+        rng = np.random.default_rng(36)
+        for _ in range(6):
+            n = int(rng.integers(3, 9))
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            graphs.append(Graph(n, True, tuple(p for p in pairs if rng.random() < 0.3)))
+        for i, g in enumerate(graphs):
             gw = attach_weights(g, seed=100 + i, kind="dyadic")
             lengths = unique_path_lengths(gw, transform)
             if not lengths:
                 continue
             spec = BinSpec.from_quantiles(lengths, 4)
             p = weighted_portrait(gw, spec, transform)
-            want = oracles.weighted_joint_cells(
-                gw.n_nodes, gw.edges, gw.weights, transform, list(spec.edges))
+            want = oracles.weighted_joint_cells(gw.n_nodes, gw.edges, gw.weights, transform,
+                                                list(spec.edges), directed=gw.directed)
             s = p.reachable_pairs
             got = {(shell, k): k * int(c) / s
                    for (shell, k), c in cells_of(p).items() if k > 0}
