@@ -18,7 +18,7 @@ from dataclasses import asdict
 from .divergence import joint_distribution, jsd_bits, legacy_delta, \
     portrait_divergence, weighted_portrait_divergence
 from .experiments import ensemble_distributions, rewiring_curve
-from .graph import ColumnCountError, Graph, GraphParseError, parse_edge_list
+from .graph import TRANSFORMS, ColumnCountError, Graph, GraphParseError, parse_edge_list
 from .portrait import BinSpec, portrait, weighted_portrait
 
 DEFAULT_BINS = 100
@@ -37,15 +37,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _add_io_flags(sub, weighted_opts=True):
+def _add_io_flags(sub):
     sub.add_argument("--directed", action="store_true", help="treat edges as directed")
     sub.add_argument("--weighted", action="store_true",
                      help="expect 3-column u v w lines and use weighted portraits")
-    if weighted_opts:
-        sub.add_argument("--bins", type=int, default=None, metavar="B",
-                         help=f"number of path-length bins (weighted only, default {DEFAULT_BINS})")
-        sub.add_argument("--transform", choices=("reciprocal", "identity"), default=None,
-                         help="edge-weight to path-cost transform (weighted only)")
+    sub.add_argument("--bins", type=int, default=None, metavar="B",
+                     help=f"number of path-length bins (weighted only, default {DEFAULT_BINS})")
+    sub.add_argument("--transform", choices=TRANSFORMS, default=None,
+                     help="edge-weight to path-cost transform (weighted only)")
     sub.add_argument("--format", choices=("json", "csv"), default=None,
                      help="output format")
     sub.add_argument("--output", metavar="PATH", default=None,
@@ -96,11 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_weighted_flags(args) -> None:
     if not args.weighted:
-        if getattr(args, "bins", None) is not None:
+        if args.bins is not None:
             raise UsageError("--bins is only valid with --weighted")
-        if getattr(args, "transform", None) is not None:
+        if args.transform is not None:
             raise UsageError("--transform is only valid with --weighted")
-    if getattr(args, "bins", None) is not None and args.bins < 1:
+    if args.bins is not None and args.bins < 1:
         raise UsageError("--bins must be >= 1")
 
 
@@ -111,6 +110,17 @@ def _load(path: str, args) -> Graph:
         except GraphParseError as exc:
             exc.args = (f"{path}: {exc}",)
             raise
+
+
+def _check_output(output: str) -> None:
+    """Fail before any work when ``_emit`` could not write ``output``."""
+    target = os.path.realpath(output)
+    folder = os.path.dirname(target)
+    if os.path.exists(target):
+        if os.path.isdir(target) or not os.access(target, os.W_OK):
+            raise OSError(f"{output}: not a writable file")
+    elif not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise OSError(f"{output}: directory {folder} is missing or not writable")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -242,6 +252,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.output is not None:
+            _check_output(args.output)
         _emit(_COMMANDS[args.command](args), args.output)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

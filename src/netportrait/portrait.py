@@ -7,7 +7,7 @@ invariants: relabeling the nodes leaves them bit-for-bit unchanged. Weighted
 graphs get binned shells; bins come from quantiles of the observed path
 lengths so each bin holds roughly the same number of distinct lengths.
 
-Bins and binned portraits of a graph share one all-sources Dijkstra sweep per
+Bins and binned portraits of a graph share one all-sources shortest-path sweep per
 transform, kept on the graph: 8 bytes per reachable ordered pair once swept.
 
 Each source node contributes independently, so construction could fan out

@@ -1,12 +1,13 @@
 """Brute-force reference computations used to freeze expected test values.
 
 Everything here is deliberately naive and independent of the package
-implementation: distances come from Floyd-Warshall (not BFS/Dijkstra),
-portraits from direct counting over the full distance matrix, divergences
-from explicit sums over dict-based sparse distributions. Keep it that way --
-these oracles exist to catch bugs in the fast paths.
+implementation: distances come from Floyd-Warshall or a heapq Dijkstra (not
+the package's sweeps), portraits from direct counting over the full distance
+matrix, divergences from explicit sums over dict-based sparse distributions.
+Keep it that way -- these oracles exist to catch bugs in the fast paths.
 """
 
+import heapq
 import math
 
 INF = math.inf
@@ -35,6 +36,34 @@ def floyd_warshall(n, edges, directed=False, weights=None, transform="identity")
                 alt = dik + dk[j]
                 if alt < di[j]:
                     di[j] = alt
+    return dist
+
+
+def dijkstra(n, edges, source, directed=False, weights=None, transform="identity"):
+    """Single-source distances by a binary-heap Dijkstra, INF if unreachable.
+
+    Each distance is a left-to-right float sum of edge costs along a shortest
+    path: the exact floats the package's weighted sweep must return.
+    """
+    out = [[] for _ in range(n)]
+    for idx, (u, v) in enumerate(edges):
+        w = 1.0 if weights is None else weights[idx]
+        c = w if transform == "identity" else 1.0 / w
+        out[u].append((v, c))
+        if not directed:
+            out[v].append((u, c))
+    dist = [INF] * n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, c in out[u]:
+            alt = d + c
+            if alt < dist[v]:
+                dist[v] = alt
+                heapq.heappush(heap, (alt, v))
     return dist
 
 

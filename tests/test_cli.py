@@ -200,14 +200,14 @@ class TestMatrix:
 
     def test_weighted_matrix_sweeps_each_graph_once(self, capsys, tmp_path, monkeypatch):
         import netportrait.graph
-        dijkstra = netportrait.graph.sssp_weighted
-        sources = []
+        sweep = netportrait.graph._sweep
+        swept = []
 
-        def counting(g, source, transform="reciprocal"):
-            sources.append(source)
-            return dijkstra(g, source, transform)
+        def counting(g, sources, transform):
+            swept.extend(sources.tolist())
+            return sweep(g, sources, transform)
 
-        monkeypatch.setattr(netportrait.graph, "sssp_weighted", counting)
+        monkeypatch.setattr(netportrait.graph, "_sweep", counting)
         texts = ["a b 1\nb c 2\nc d 3\n", "a b 1\nb c 1\nc a 1\nd a 2\n",
                  "a b 3\nc d 1\n"]
         paths = []
@@ -217,7 +217,7 @@ class TestMatrix:
             paths.append(str(f))
         code, _, _ = run(capsys, ["matrix", *paths, "--weighted", "--bins", "4"])
         assert code == 0
-        assert len(sources) == 3 * 4  # one Dijkstra per source of each 4-node graph
+        assert len(swept) == 3 * 4  # each source of each 4-node graph swept once
 
     def test_single_file_is_usage_error(self, capsys, p3_file):
         code, _, _ = run(capsys, ["matrix", p3_file])
@@ -313,14 +313,35 @@ class TestOutputFile:
         assert out == ""
         assert json.loads(target.read_text())["d_js"] == pytest.approx(D_JS_P3_K3, abs=1e-12)
 
-    def test_unwritable_output_is_input_error(self, capsys, tmp_path, p3_file, k3_file):
-        target = tmp_path / "no_such_dir" / "report.json"
-        code, out, err = run(capsys, ["compare", p3_file, k3_file,
-                                      "--output", str(target)])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert not target.parent.exists()
+    def test_unwritable_output_is_input_error(self, capsys, tmp_path, monkeypatch,
+                                              p3_file, k3_file):
+        import netportrait.cli
+        loaded = []
+        monkeypatch.setattr(netportrait.cli, "_load", lambda path, args: loaded.append(path))
+        for target in (tmp_path / "no_such_dir" / "report.json", tmp_path):
+            code, out, err = run(capsys, ["compare", p3_file, k3_file,
+                                          "--output", str(target)])
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {target}: ") and "Traceback" not in err
+            assert loaded == []  # failed before any input was read
+        assert not (tmp_path / "no_such_dir").exists()
+
+    def test_unwritable_output_fails_before_loading(self, capsys, tmp_path, monkeypatch,
+                                                    p3_file, k3_file):
+        # os.access stands in for permissions, which root would pass anyway
+        import netportrait.cli
+        loaded = []
+        monkeypatch.setattr(netportrait.cli, "_load", lambda path, args: loaded.append(path))
+        monkeypatch.setattr("netportrait.cli.os.access", lambda path, mode: False)
+        (tmp_path / "old.json").write_text("old\n")
+        for target in (tmp_path / "new.json", tmp_path / "old.json"):
+            code, _, err = run(capsys, ["compare", p3_file, k3_file,
+                                        "--output", str(target)])
+            assert (code, loaded) == (2, [])
+            assert err.startswith(f"error: {target}: ")
+        assert (tmp_path / "old.json").read_text() == "old\n"
+        assert not (tmp_path / "new.json").exists()
 
     def test_failed_write_keeps_old_file_and_leaves_no_partial(self, capsys, tmp_path,
                                                                monkeypatch, p3_file, k3_file):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import netportrait.graph
 from netportrait import (
+    BinSpec,
     ColumnCountError,
     EdgeListWarning,
     Graph,
@@ -13,6 +16,8 @@ from netportrait import (
     parse_edge_list,
     sssp_unweighted,
     sssp_weighted,
+    unique_path_lengths,
+    weighted_portrait,
 )
 
 import oracles
@@ -157,8 +162,12 @@ class TestShortestPaths:
         assert list(sssp_weighted(g, 0, "reciprocal")) == [0.0, 1.0, 1.5]
 
     def test_bad_transform(self):
-        with pytest.raises(ValueError, match="transform"):
-            sssp_weighted(path_graph(2), 0, "square")
+        g = Graph(2, False, ((0, 1),), weights=(2.0,))
+        for call in (lambda: sssp_weighted(path_graph(2), 0, "square"),
+                     lambda: unique_path_lengths(g, "square"),
+                     lambda: weighted_portrait(g, BinSpec((0.5, 1.0)), "square")):
+            with pytest.raises(ValueError, match="transform"):
+                call()
 
     def test_reciprocal_prefers_heavy_edges(self):
         # direct light edge (w=1, cost 1) loses to the two heavy hops (cost 0.2+0.2)
@@ -216,3 +225,58 @@ class TestAgainstFloydWarshall:
                 seen |= members
                 sizes.append(len(members))
             assert sorted(sizes, reverse=True) == connected_components(g)
+
+
+@st.composite
+def weighted_graphs(draw, min_nodes=1, max_nodes=12):
+    """Small directed or undirected graphs with some isolated nodes, carrying
+    integer weights 1-3 (many tied lengths) or lognormal weights."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    directed = draw(st.booleans())
+    linked = draw(st.integers(1, n))  # nodes linked .. n - 1 stay isolated
+    pairs = [(u, v) for u in range(linked) for v in range(linked)
+             if u != v and (directed or u < v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 3).map(float), min_size=len(edges),
+                                max_size=len(edges)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        weights = rng.lognormal(0.0, 1.0, len(edges)).tolist()
+    return Graph(n, directed, tuple(edges), weights=tuple(weights))
+
+
+def _oracle_rows(g, transform):
+    return [oracles.dijkstra(g.n_nodes, g.edges, s, g.directed, g.weights, transform)
+            for s in range(g.n_nodes)]
+
+
+def _assert_kept_sweep_matches(g, transform, rows):
+    lengths, offsets = g._path_lengths(transform)
+    runs = [[d for v, d in enumerate(row) if v != s and d < INF] for s, row in enumerate(rows)]
+    assert lengths.tolist() == [d for run in runs for d in run]
+    assert offsets.tolist() == np.cumsum([0] + [len(run) for run in runs]).tolist()
+
+
+class TestSweepAgainstDijkstra:
+    """The batched relaxation sweep returns the heapq Dijkstra's floats exactly."""
+
+    @settings(max_examples=100)
+    @given(weighted_graphs(), st.sampled_from(("identity", "reciprocal")))
+    def test_rows_and_kept_sweep_equal_oracle(self, g, transform):
+        rows = _oracle_rows(g, transform)
+        for s in range(g.n_nodes):
+            assert sssp_weighted(g, s, transform).tolist() == rows[s]
+        _assert_kept_sweep_matches(g, transform, rows)
+
+    @settings(max_examples=50)
+    @given(weighted_graphs(min_nodes=7), st.sampled_from(("identity", "reciprocal")))
+    def test_sweep_in_batches_with_a_partial_last_batch(self, g, transform):
+        step = (g.n_nodes - 1) // 2  # 7..12 nodes: 3 batches, the last one short
+        entries = g.n_edges * (1 if g.directed else 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netportrait.graph, "_SWEEP_ENTRIES", step * max(g.n_nodes, entries))
+            batches = [dist.shape[0] for dist in
+                       netportrait.graph._sweep(g, np.arange(g.n_nodes), transform)]
+            assert len(batches) >= 3 and batches[-1] < step == batches[0]
+            _assert_kept_sweep_matches(g, transform, _oracle_rows(g, transform))
