@@ -15,8 +15,8 @@ import stat
 import sys
 from dataclasses import asdict
 
-from .divergence import joint_distribution, jsd_bits, legacy_delta, \
-    portrait_divergence, weighted_portrait_divergence
+from .divergence import _legacy_delta, _report, joint_distribution, jsd_bits, \
+    weighted_portrait_divergence
 from .experiments import ensemble_distributions, rewiring_curve
 from .graph import TRANSFORMS, ColumnCountError, Graph, GraphParseError, parse_edge_list
 from .portrait import BinSpec, portrait, weighted_portrait
@@ -159,15 +159,16 @@ def _cmd_compare(args) -> str:
         report = weighted_portrait_divergence(g1, g2, args.bins or DEFAULT_BINS,
                                               args.transform or "reciprocal")
     else:
-        report = portrait_divergence(g1, g2)
+        p1, p2 = portrait(g1), portrait(g2)
+        report = _report(p1, p2, g1, g2, None)
     if (args.format or "json") == "json":
         payload = report.to_dict()
         if args.legacy:
-            payload["legacy_delta"] = legacy_delta(g1, g2)
+            payload["legacy_delta"] = _legacy_delta(p1, p2)
         return json.dumps(payload, indent=2) + "\n"
     lines = [_fmt(report.d_js)]
     if args.legacy:
-        lines.append(_fmt(legacy_delta(g1, g2)))
+        lines.append(_fmt(_legacy_delta(p1, p2)))
     return "\n".join(lines) + "\n"
 
 

@@ -68,14 +68,11 @@ def joint_distribution(p: Portrait) -> JointDistribution:
     ordered reachable pairs including self-pairs; k=0 cells carry no mass, so
     padding a portrait never changes its joint distribution.
     """
-    s = p.reachable_pairs
-    mass: dict[Cell, float] = {}
-    for shell, row in enumerate(p.counts):
-        for k in np.nonzero(row)[0]:
-            if k == 0:
-                continue
-            mass[(shell, int(k))] = int(k) * int(row[k]) / s
-    return JointDistribution(mass=mass)
+    shells, ks = np.nonzero(p.counts[:, 1:])  # row-major, as the cells are sorted
+    ks += 1
+    # int64 products stay below 2^53, so this division rounds as int / int does
+    masses = ks * p.counts[shells, ks] / p.reachable_pairs
+    return JointDistribution(mass=dict(zip(zip(shells.tolist(), ks.tolist()), masses.tolist())))
 
 
 def kl_divergence_bits(p: JointDistribution, q: JointDistribution) -> float:
@@ -142,8 +139,10 @@ def legacy_delta(g1: Graph, g2: Graph) -> float:
     KS statistic between the row-wise cumulative distributions, averaged with
     weights proportional to the shells' k>0 occupancy in both graphs.
     """
-    p1 = portrait(g1)
-    p2 = portrait(g2)
+    return _legacy_delta(portrait(g1), portrait(g2))
+
+
+def _legacy_delta(p1: Portrait, p2: Portrait) -> float:
     rows = max(p1.n_rows, p2.n_rows)
     b1 = pad_portrait(p1, rows).counts
     b2 = pad_portrait(p2, rows).counts

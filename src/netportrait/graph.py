@@ -24,6 +24,12 @@ TRANSFORMS = ("reciprocal", "identity")
 # no faster and added 1.5 MB (2^17) to 4.6 MB (2^18) of peak memory.
 _SWEEP_ENTRIES = 1 << 16
 
+# 64-bit words per node in a batch of hop-count searches, one source per bit:
+# 256 sources at a time. Portraits of BA and ER graphs took within 1 ms
+# (N = 300) and 0.1 s (N = 4000) of each other for 1 to 8 words; the level
+# temporaries grow with the word count.
+_BFS_WORDS = 4
+
 
 class GraphParseError(ValueError):
     """Malformed edge-list input. Carries the offending 1-based line number."""
@@ -92,18 +98,9 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def _adjacency(self) -> list[list[int]]:
-        """Neighbour lists; out-neighbours when directed."""
-        return self._neighbour_lists(symmetric=not self.directed)
-
-    def _neighbour_lists(self, symmetric: bool) -> list[list[int]]:
-        """Per node u, in edge order, v for each edge (u, v) (and (v, u) when symmetric)."""
-        out: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for u, v in self.edges:
-            out[u].append(v)
-            if symmetric:
-                out[v].append(u)
-        return out
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """In-neighbour CSR (indptr, indices); both directions when undirected."""
+        return _in_neighbours(self, symmetric=not self.directed)
 
     @cached_property
     def _sweeps(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -204,10 +201,17 @@ def parse_edge_list(source: str | bytes | IO, *, directed: bool = False,
 
 def connected_components(g: Graph) -> list[int]:
     """Component sizes, largest first (weak connectivity if directed)."""
-    adj = g._neighbour_lists(symmetric=True) if g.directed else g._adjacency
-    seen = [False] * g.n_nodes
-    sizes = [sum(len(level) for level in _bfs_levels(adj, start, seen))
-             for start in range(g.n_nodes) if not seen[start]]
+    indptr, indices = _in_neighbours(g, symmetric=True) if g.directed else g._csr
+    sizes: list[int] = []
+    unseen = np.ones(g.n_nodes, dtype=bool)
+    while unseen.any():
+        starts = np.flatnonzero(unseen)[:64 * _BFS_WORDS]
+        # each node is reached at one level only, so the sum is the union; the
+        # nodes of one component are reached by the same lanes, no others' by any
+        reached = sum(_hop_levels(indptr, indices, starts))
+        hit = reached.any(axis=1)
+        sizes += np.unique(reached[hit], axis=0, return_counts=True)[1].tolist()
+        unseen &= ~hit
     sizes.sort(reverse=True)
     return sizes
 
@@ -217,28 +221,58 @@ def _check_source(g: Graph, source: int) -> None:
         raise IndexError(f"source {source} out of range for {g.n_nodes} nodes")
 
 
-def _bfs_levels(adj: list[list[int]], source: int, seen: list[bool]):
-    """Yield the BFS frontier at each hop distance from source, marking the
-    nodes reached in ``seen``; already marked nodes are never entered."""
-    seen[source] = True
-    frontier = [source]
-    while frontier:
-        yield frontier
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(v)
-        frontier = nxt
+def _in_neighbours(g: Graph, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) listing, per node v, u for each edge (u, v) (and
+    (v, u) when symmetric): one pull over it follows edges forwards."""
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    if symmetric:
+        ends = np.vstack([ends, ends[:, ::-1]])
+    indptr = np.zeros(g.n_nodes + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends[:, 1], minlength=g.n_nodes), out=indptr[1:])
+    return indptr, ends[np.argsort(ends[:, 1], kind="stable"), 0]
+
+
+def _hop_levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray):
+    """Yield, at each hop distance d = 0, 1, ... from the distinct ``sources``,
+    the nodes first reached at d as (n, W) uint64 words: bit j of word w in
+    row v is set when v is d hops from sources[64 * w + j].
+
+    Multi-source BFS (Then et al., VLDB 2014), one source per bit lane: a
+    level is one gather of the frontier over the in-neighbour CSR
+    (indptr, indices) and one OR per node, masked by the nodes already seen.
+    """
+    lanes = np.arange(sources.size)
+    new = np.zeros((indptr.size - 1, -(-sources.size // 64)), dtype=np.uint64)
+    new[sources, lanes // 64] = np.uint64(1) << (lanes % 64).astype(np.uint64)
+    seen = new.copy()
+    pulled = indptr[:-1] < indptr[1:]  # reduceat gives no OR for an empty segment
+    starts = indptr[:-1][pulled]
+    while new.any():
+        yield new
+        reached = np.zeros_like(new)
+        reached[pulled] = np.bitwise_or.reduceat(new[indices], starts, axis=0)
+        new = reached & ~seen
+        seen |= new
+
+
+# bit j of each byte value, for counting set bits per lane by byte histograms
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+
+
+def _lane_counts(words: np.ndarray) -> np.ndarray:
+    """Set bits per lane of (n, W) uint64 words: 64 * W counts, lane 64 * w + j
+    counting bit j of word w."""
+    octets = words[words.any(axis=1)].astype("<u8", copy=False).view(np.uint8)
+    hist = [np.bincount(column, minlength=256) for column in octets.T]
+    return (np.array(hist) @ _BYTE_BITS).ravel()
 
 
 def sssp_unweighted(g: Graph, source: int) -> np.ndarray:
     """Hop-count distances from source; np.inf marks unreachable nodes."""
     _check_source(g, source)
     dist = np.full(g.n_nodes, np.inf)
-    for d, level in enumerate(_bfs_levels(g._adjacency, source, [False] * g.n_nodes)):
-        dist[level] = d
+    for d, new in enumerate(_hop_levels(*g._csr, np.array([source]))):
+        dist[new[:, 0] != 0] = d
     return dist
 
 

@@ -10,21 +10,25 @@ lengths so each bin holds roughly the same number of distinct lengths.
 Bins and binned portraits of a graph share one all-sources shortest-path sweep per
 transform, kept on the graph: 8 bytes per reachable ordered pair once swept.
 
-Each source node contributes independently, so construction could fan out
-across sources; it runs sequentially here and the accumulation order never
-affects the integer counts. Built portraits are immutable.
+Hop-count portraits run 256 breadth-first searches at a time, one per bit
+lane of four 64-bit words per node, over the in-neighbour CSR (compressed
+sparse row) each graph keeps: 8 bytes per node and per adjacency entry, two
+entries per undirected edge. A batch's temporaries are per level, chiefly the
+gathered frontier at 32 bytes per adjacency entry: about 0.8 MB at N = 4000
+with 12,000 undirected edges. Batches are independent and their order never
+affects the integer counts, so they could fan out across processes; they run
+sequentially here. Built portraits are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, _bfs_levels
+from .graph import _BFS_WORDS, Graph, _hop_levels, _lane_counts
 
 
 @dataclass(frozen=True)
@@ -179,14 +183,18 @@ def portrait(g: Graph, *, ignore_weights: bool = False) -> Portrait:
         raise ValueError("graph is weighted; pass ignore_weights=True for a "
                          "hop-count portrait or use weighted_portrait")
     n = g.n_nodes
-    adj = g._adjacency
-    shell_sizes = [[len(level) for level in _bfs_levels(adj, source, [False] * n)]
-                   for source in range(n)]
-    # one cell per (source, shell it reaches); sources past their last shell fill k = 0
-    shells = np.fromiter(chain.from_iterable(map(range, map(len, shell_sizes))), np.int64)
-    ks = np.fromiter(chain.from_iterable(shell_sizes), np.int64)
-    counts = np.zeros((int(shells.max()) + 1, _column_count(n)), dtype=np.int64)
-    np.add.at(counts, (shells, ks), 1)
+    cols, lanes = _column_count(n), 64 * _BFS_WORDS
+    # one cell key shell * cols + k per (source, shell it reaches); sources past
+    # their last shell fill k = 0
+    keys = []
+    for first in range(0, n, lanes):
+        sources = np.arange(first, min(first + lanes, n))
+        for shell, new in enumerate(_hop_levels(*g._csr, sources)):
+            k = _lane_counts(new)
+            keys.append(shell * cols + k[k > 0])
+    keys = np.concatenate(keys)
+    rows = int(keys.max()) // cols + 1
+    counts = np.bincount(keys, minlength=rows * cols).reshape(rows, cols)
     counts[:, 0] = n - counts.sum(axis=1)
     return Portrait(counts=counts, n_nodes=n, directed=g.directed)
 

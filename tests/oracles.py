@@ -73,7 +73,12 @@ def portrait_cells(n, edges, directed=False):
     Includes k=0 cells for nodes whose farthest reachable node is closer
     than the overall maximum distance.
     """
-    dist = floyd_warshall(n, edges, directed=directed)
+    return cells_of_distances(floyd_warshall(n, edges, directed=directed))
+
+
+def cells_of_distances(dist):
+    """Sparse portrait {(shell, k): count} of an all-pairs hop-count matrix."""
+    n = len(dist)
     d_max = 0
     for i in range(n):
         for j in range(n):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -64,6 +65,23 @@ class TestCompare:
                            ["compare", p3_file, k3_file, "--legacy", "--format", "csv"])
         lines = out.strip().splitlines()
         assert float(lines[1]) == pytest.approx(8 / 21, abs=1e-12)
+
+    def test_legacy_builds_each_portrait_once(self, capsys, p3_file, k3_file, monkeypatch):
+        # the package's ``portrait`` attribute is the function, not the module
+        module = importlib.import_module("netportrait.portrait")
+        levels = module._hop_levels
+        swept = []
+
+        def counting(indptr, indices, sources):
+            swept.extend(sources.tolist())
+            return levels(indptr, indices, sources)
+
+        monkeypatch.setattr(module, "_hop_levels", counting)
+        for fmt in ("json", "csv"):
+            swept.clear()
+            code, _, _ = run(capsys, ["compare", p3_file, k3_file, "--legacy", "--format", fmt])
+            assert code == 0
+            assert len(swept) == 2 * 3  # each source of each 3-node graph swept once
 
     def test_weighted_compare(self, capsys, tmp_path):
         f1 = tmp_path / "w1.edges"

@@ -2,16 +2,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import netportrait.graph
 from netportrait import (
     BinSpec,
     Graph,
     Portrait,
     connected_components,
+    joint_distribution,
+    jsd_bits,
     make_shared_bins,
     pad_portrait,
     portrait,
     portrait_identities,
+    sssp_unweighted,
     unique_path_lengths,
     weighted_portrait,
 )
@@ -119,6 +124,100 @@ class TestPortraitProperties:
             edges = tuple(p for p in pairs if rng.random() < 0.3)
             g = Graph(n, True, edges)
             assert cells_of(portrait(g)) == oracles.portrait_cells(n, edges, directed=True)
+
+
+@st.composite
+def hop_graphs(draw, min_nodes=1, max_nodes=14):
+    """Directed or undirected graphs whose nodes past a random count stay
+    isolated, under a random labeling so isolated nodes fall anywhere."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    directed = draw(st.booleans())
+    linked = draw(st.integers(1, n))
+    pairs = [(u, v) for u in range(linked) for v in range(linked)
+             if u != v and (directed or u < v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    label = draw(st.permutations(range(n)))
+    return Graph(n, directed, tuple((label[u], label[v]) for u, v in edges))
+
+
+def shuffled_copy(g, rng):
+    """Relabeled copy with its edges in a new order, undirected ones flipped at random."""
+    perm = rng.permutation(g.n_nodes)
+    edges = [(int(perm[u]), int(perm[v])) for u, v in g.edges]
+    if not g.directed:
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    order = rng.permutation(len(edges))
+    return Graph(g.n_nodes, g.directed, tuple(edges[i] for i in order))
+
+
+def component_sizes(n, edges):
+    """Weak component sizes, largest first, from undirected Floyd-Warshall reachability."""
+    dist = oracles.floyd_warshall(n, edges)
+    groups = {frozenset(j for j in range(n) if dist[i][j] < oracles.INF) for i in range(n)}
+    return sorted(map(len, groups), reverse=True)
+
+
+def assert_hop_engine_matches(g, rows):
+    """portrait and sssp_unweighted against all-pairs hop counts ``rows``."""
+    assert cells_of(portrait(g)) == oracles.cells_of_distances(rows)
+    for s in range(g.n_nodes):
+        assert sssp_unweighted(g, s).tolist() == rows[s]
+
+
+LANES = 64 * netportrait.graph._BFS_WORDS  # sources per batch of the hop-count engine
+
+
+class TestHopEngineDifferential:
+    """The bit-parallel multi-source BFS against the brute-force oracles."""
+
+    @settings(max_examples=150)
+    @given(hop_graphs())
+    def test_portrait_rows_components_and_joint_equal_oracles(self, g):
+        n, edges = g.n_nodes, g.edges
+        assert_hop_engine_matches(g, oracles.floyd_warshall(n, edges, directed=g.directed))
+        assert connected_components(g) == component_sizes(n, edges)
+        joint = oracles.joint_cells(n, edges, directed=g.directed)
+        assert list(joint_distribution(portrait(g)).mass.items()) == sorted(joint.items())
+
+    @settings(max_examples=60)
+    @given(hop_graphs(), st.integers(0, 2 ** 32 - 1))
+    def test_invariant_under_relabeling_and_edge_order(self, g, seed):
+        rng = np.random.default_rng(seed)
+        assert portrait(shuffled_copy(g, rng)) == portrait(g)
+
+    @settings(max_examples=60)
+    @given(hop_graphs(min_nodes=2), hop_graphs(min_nodes=2), st.integers(0, 2 ** 32 - 1))
+    def test_jsd_properties(self, g1, g2, seed):
+        j1, j2 = (joint_distribution(portrait(g)) for g in (g1, g2))
+        d = jsd_bits(j1, j2)[0]
+        assert d == jsd_bits(j2, j1)[0]
+        assert 0.0 <= d <= 1.0
+        want = oracles.jsd_bits(oracles.joint_cells(g1.n_nodes, g1.edges, g1.directed),
+                                oracles.joint_cells(g2.n_nodes, g2.edges, g2.directed))
+        assert abs(d - want) <= 1e-12
+        copy = shuffled_copy(g1, np.random.default_rng(seed))
+        assert jsd_bits(j1, joint_distribution(portrait(copy)))[0] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129,
+                                   LANES - 1, LANES, LANES + 1])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_lane_and_batch_boundaries(self, n, directed):
+        # sparse enough to leave isolated nodes and long paths; past one
+        # batch the last batch is partial. Rows from unit-weight Dijkstra,
+        # which is faster than Floyd-Warshall at these sizes.
+        rng = np.random.default_rng([n, directed])
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+        keep = rng.random(len(pairs)) < 1.5 / max(n, 2)
+        g = Graph(n, directed, tuple(p for p, k in zip(pairs, keep) if k))
+        rows = [oracles.dijkstra(n, g.edges, s, directed) for s in range(n)]
+        assert_hop_engine_matches(g, rows)
+        assert connected_components(g) == component_sizes(n, g.edges)
+
+    def test_path_spans_every_lane(self):
+        # one long path: every lane of every word lives for up to N levels
+        n = LANES + 1
+        g = path_graph(n)
+        assert_hop_engine_matches(g, [[float(abs(s - v)) for v in range(n)] for s in range(n)])
 
 
 class TestBinSpec:
