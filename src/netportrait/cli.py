@@ -15,7 +15,7 @@ import stat
 import sys
 from dataclasses import asdict
 
-from .divergence import _legacy_delta, _report, joint_distribution, jsd_bits, \
+from .divergence import _jsd_matrix, _legacy_delta, _report, joint_distribution, \
     weighted_portrait_divergence
 from .experiments import ensemble_distributions, rewiring_curve
 from .graph import TRANSFORMS, ColumnCountError, Graph, GraphParseError, parse_edge_list
@@ -177,21 +177,16 @@ def _cmd_matrix(args) -> str:
     if len(args.files) < 2:
         raise UsageError("matrix needs at least 2 files")
     graphs = [_load(path, args) for path in args.files]
-    k = len(graphs)
-    values = [[0.0] * k for _ in range(k)]
     if args.weighted:
         n_bins, transform = args.bins or DEFAULT_BINS, args.transform or "reciprocal"
-
-        def d_js(i, j):
-            return weighted_portrait_divergence(graphs[i], graphs[j], n_bins, transform).d_js
+        k = len(graphs)
+        values = [[0.0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                values[i][j] = values[j][i] = weighted_portrait_divergence(
+                    graphs[i], graphs[j], n_bins, transform).d_js
     else:
-        joints = [joint_distribution(portrait(g)) for g in graphs]
-
-        def d_js(i, j):
-            return jsd_bits(joints[i], joints[j])[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            values[i][j] = values[j][i] = d_js(i, j)
+        values = _jsd_matrix([joint_distribution(portrait(g)) for g in graphs]).tolist()
     names = [os.path.basename(path) for path in args.files]
     if (args.format or "csv") == "json":
         return json.dumps({"files": names, "d_js": values}, indent=2) + "\n"

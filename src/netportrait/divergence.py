@@ -12,7 +12,9 @@ kept as ``legacy_delta``.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,23 +24,53 @@ from .portrait import BinSpec, Portrait, make_shared_bins, pad_portrait, portrai
 
 Cell = tuple[int, int]
 
+# Caps rows x cells per block of the JSD kernel, which bounds its temporaries
+# (~70 B per cell). A matrix over 150 200-node snapshots (442 cells) ran as fast
+# at 2^12 and 2^14 as at 2^16 or unbatched, and peaked 2.3 MB lower.
+_JSD_CELLS = 1 << 14
 
-@dataclass(frozen=True)
+
 class JointDistribution:
-    """Sparse probability mass over (shell, k) cells, k >= 1 only."""
+    """Sparse probability mass over (shell, k) cells, k >= 1 only.
 
-    mass: dict[Cell, float]
+    Cells are held as sorted int64 keys ``shell << 32 | k``, which sort as the
+    (shell, k) tuples do, beside their float64 masses: 16 bytes per cell.
+    """
 
-    def __post_init__(self):
-        for (shell, k), p in self.mass.items():
-            if k < 1 or p <= 0.0:
-                raise ValueError(f"invalid cell ({shell}, {k}) with mass {p}")
-        total = math.fsum(self.mass.values())
+    __slots__ = ("_keys", "_masses", "_mass")
+
+    def __init__(self, mass: Mapping[Cell, float]):
+        cells = np.array(list(mass), dtype=np.int64).reshape(-1, 2)
+        masses = np.array(list(mass.values()), dtype=np.float64)
+        shells, ks = cells.T
+        keys = (shells << 32) | ks
+        bad = (ks < 1) | (keys >> 32 != shells) | (keys & 0xFFFFFFFF != ks) | (masses <= 0.0)
+        if bad.any():
+            (shell, k), p = list(mass.items())[int(np.argmax(bad))]
+            raise ValueError(f"invalid cell ({shell}, {k}) with mass {p}")
+        order = np.argsort(keys)
+        self._set(keys[order], masses[order])
+
+    def _set(self, keys: np.ndarray, masses: np.ndarray) -> None:
+        total = math.fsum(masses.tolist())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"joint mass sums to {total}, not 1")
+        self._keys, self._masses, self._mass = keys, masses, None
+
+    @property
+    def mass(self) -> Mapping[Cell, float]:
+        """Read-only {(shell, k): mass} in sorted cell order, built on first use."""
+        if self._mass is None:
+            cells = zip((self._keys >> 32).tolist(), (self._keys & 0xFFFFFFFF).tolist())
+            self._mass = MappingProxyType(dict(zip(cells, self._masses.tolist())))
+        return self._mass
+
+    def __eq__(self, other):
+        return (isinstance(other, JointDistribution) and np.array_equal(self._keys, other._keys)
+                and np.array_equal(self._masses, other._masses))
 
     def total(self) -> float:
-        return math.fsum(self.mass.values())
+        return math.fsum(self._masses.tolist())
 
 
 @dataclass(frozen=True)
@@ -72,37 +104,75 @@ def joint_distribution(p: Portrait) -> JointDistribution:
     ks += 1
     # int64 products stay below 2^53, so this division rounds as int / int does
     masses = ks * p.counts[shells, ks] / p.reachable_pairs
-    return JointDistribution(mass=dict(zip(zip(shells.tolist(), ks.tolist()), masses.tolist())))
+    joint = JointDistribution.__new__(JointDistribution)
+    joint._set((shells << 32) | ks, masses)
+    return joint
 
 
 def kl_divergence_bits(p: JointDistribution, q: JointDistribution) -> float:
     """Relative entropy in bits; requires support(p) within support(q)."""
-    total = 0.0
-    for cell, a in sorted(p.mass.items()):
-        b = q.mass.get(cell)
-        if b is None:
-            raise ValueError(f"KL undefined: cell {cell} has mass in p but not q")
-        total += a * math.log2(a / b)
-    return total
+    at = np.minimum(np.searchsorted(q._keys, p._keys), q._keys.size - 1)
+    missing = q._keys[at] != p._keys
+    if missing.any():
+        cell = list(p.mass)[int(np.argmax(missing))]
+        raise ValueError(f"KL undefined: cell {cell} has mass in p but not q")
+    return float(np.cumsum(p._masses * _log2(p._masses / q._masses[at]))[-1])
 
 
 def jsd_bits(p: JointDistribution, q: JointDistribution) -> tuple[float, float, float]:
     """Jensen-Shannon divergence and its two KL components, in bits.
 
     The mixture covers the union support, so this never hits the KL support
-    restriction. Cells are visited in sorted order for bit-reproducibility.
+    restriction. Cells are summed in sorted order for bit-reproducibility.
     """
-    kl_pm = 0.0
-    kl_qm = 0.0
-    for cell in sorted(p.mass.keys() | q.mass.keys()):
-        a = p.mass.get(cell, 0.0)
-        b = q.mass.get(cell, 0.0)
+    rows = _mass_rows((p, q))
+    return tuple(_jsd_rows(rows[0], rows[1:])[:, 0].tolist())
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    # math.log2, not np.log2: the two differ in the last bit on some inputs
+    return np.fromiter(map(math.log2, x.tolist()), np.float64, x.size)
+
+
+def _mass_rows(joints: Sequence[JointDistribution]) -> np.ndarray:
+    """One dense mass row per joint over the sorted union of their cells."""
+    axis = np.unique(np.concatenate([j._keys for j in joints]))
+    rows = np.zeros((len(joints), axis.size))
+    for row, j in zip(rows, joints):
+        row[np.searchsorted(axis, j._keys)] = j._masses
+    return rows
+
+
+def _jsd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """d_js, KL(p || m) and KL(q || m) in bits, as a (3, rows) array, of mass
+    row ``p`` against each row of ``q`` on one sorted cell axis.
+
+    Each float equals a left-to-right loop over the cells adding a * log2(a / m)
+    for each side a > 0: a one-sided term is a itself (a / m == 2), an equal
+    one is 0, only the rest take a logarithm, and cumsum adds in cell order.
+    """
+    out = np.empty((3, len(q)))
+    step = max(1, _JSD_CELLS // p.size)
+    for first in range(0, len(q), step):
+        b = q[first:first + step]
+        a = np.broadcast_to(p, b.shape)
         m = 0.5 * (a + b)
-        if a > 0.0:
-            kl_pm += a * math.log2(a / m)
-        if b > 0.0:
-            kl_qm += b * math.log2(b / m)
-    return 0.5 * (kl_pm + kl_qm), kl_pm, kl_qm
+        both = (a > 0.0) & (b > 0.0) & (a != b)
+        for kl, x, y in ((out[1], a, b), (out[2], b, a)):
+            terms = np.where(y == 0.0, x, 0.0)
+            terms[both] = x[both] * _log2(x[both] / m[both])
+            kl[first:first + step] = np.cumsum(terms, axis=1)[:, -1]
+    out[0] = 0.5 * (out[1] + out[2])
+    return out
+
+
+def _jsd_matrix(joints: Sequence[JointDistribution]) -> np.ndarray:
+    """Pairwise JSD in bits, each entry equal to ``jsd_bits``' d_js."""
+    rows = _mass_rows(joints)
+    out = np.zeros((len(rows), len(rows)))
+    for i in range(len(rows) - 1):
+        out[i, i + 1:] = out[i + 1:, i] = _jsd_rows(rows[i], rows[i + 1:])[0]
+    return out
 
 
 def _report(p1: Portrait, p2: Portrait, g1: Graph, g2: Graph,

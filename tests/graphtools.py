@@ -1,6 +1,7 @@
 """Shared graph builders for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from netportrait import Graph, barabasi_albert, erdos_renyi
 
@@ -82,3 +83,17 @@ def attach_weights(g, seed, kind="uniform"):
 
 def unit_weighted(g):
     return Graph(g.n_nodes, g.directed, g.edges, weights=(1.0,) * g.n_edges)
+
+
+@st.composite
+def hop_graphs(draw, min_nodes=1, max_nodes=14):
+    """Directed or undirected graphs whose nodes past a random count stay
+    isolated, under a random labeling so isolated nodes fall anywhere."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    directed = draw(st.booleans())
+    linked = draw(st.integers(1, n))
+    pairs = [(u, v) for u in range(linked) for v in range(linked)
+             if u != v and (directed or u < v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    label = draw(st.permutations(range(n)))
+    return Graph(n, directed, tuple((label[u], label[v]) for u, v in edges))

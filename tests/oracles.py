@@ -148,6 +148,12 @@ def weighted_joint_cells(n, edges, weights, transform, bin_edges, directed=False
 
 def jsd_bits(p, q):
     """Jensen-Shannon divergence in bits between two sparse distributions."""
+    return jsd_parts(p, q)[0]
+
+
+def jsd_parts(p, q):
+    """Jensen-Shannon divergence in bits and its two KL components, one
+    left-to-right loop over the sorted union of cells."""
     kl_pm = 0.0
     kl_qm = 0.0
     for cell in sorted(set(p) | set(q)):
@@ -158,7 +164,16 @@ def jsd_bits(p, q):
             kl_pm += a * math.log2(a / m)
         if b > 0.0:
             kl_qm += b * math.log2(b / m)
-    return 0.5 * (kl_pm + kl_qm)
+    return 0.5 * (kl_pm + kl_qm), kl_pm, kl_qm
+
+
+def kl_bits(p, q):
+    """Relative entropy in bits, one left-to-right loop over p's sorted
+    cells; every cell of p must be a cell of q."""
+    total = 0.0
+    for cell, a in sorted(p.items()):
+        total += a * math.log2(a / q[cell])
+    return total
 
 
 def ks_delta(n1, edges1, n2, edges2):

@@ -237,6 +237,42 @@ class TestMatrix:
         assert code == 0
         assert len(swept) == 3 * 4  # each source of each 4-node graph swept once
 
+    def test_two_copies_print_exact_zero(self, capsys, tmp_path):
+        import netportrait as npor
+        text = "".join(f"{u} {v}\n" for u, v in npor.erdos_renyi(30, 0.15, 9).edges)
+        paths = []
+        for name in ("a.edges", "b.edges"):
+            (tmp_path / name).write_text(text)
+            paths.append(str(tmp_path / name))
+        code, out, _ = run(capsys, ["matrix", *paths])
+        assert code == 0
+        assert out == "a.edges,b.edges\n0.0,0.0\n0.0,0.0\n"
+
+    def test_hop_matrix_runs_the_kernel_once_per_row(self, capsys, tmp_path, monkeypatch):
+        import netportrait.cli
+        import netportrait.divergence as div
+        calls = {"jsd_bits": 0, "_jsd_rows": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(div, "_jsd_rows", counting("_jsd_rows", div._jsd_rows))
+        monkeypatch.setattr(div, "jsd_bits", counting("jsd_bits", div.jsd_bits))
+        # the counted jsd_bits also stands in for any name cli imported
+        monkeypatch.setattr(netportrait.cli, "jsd_bits", div.jsd_bits, raising=False)
+        texts = [P3_TEXT, K3_TEXT, "a b\nc d\n", "a b\nb c\nc d\n", "a b\n"]
+        paths = []
+        for i, t in enumerate(texts):
+            f = tmp_path / f"g{i}.edges"
+            f.write_text(t)
+            paths.append(str(f))
+        code, _, _ = run(capsys, ["matrix", *paths])
+        assert code == 0
+        assert calls == {"jsd_bits": 0, "_jsd_rows": len(texts) - 1}
+
     def test_single_file_is_usage_error(self, capsys, p3_file):
         code, _, _ = run(capsys, ["matrix", p3_file])
         assert code == 1

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import netportrait.divergence
 from netportrait import (
     Graph,
     JointDistribution,
@@ -23,6 +25,7 @@ from graphtools import (
     complete_graph,
     desargues_graph,
     dodecahedral_graph,
+    hop_graphs,
     path_graph,
     permute_graph,
     random_graph_pool,
@@ -32,6 +35,14 @@ from graphtools import (
 P3 = path_graph(3)
 K3 = complete_graph(3)
 D_JS_P3_K3 = 0.3060986113514965  # frozen from the brute-force oracle
+
+
+def joint_of(g):
+    return joint_distribution(portrait(g))
+
+
+def oracle_joint(g):
+    return oracles.joint_cells(g.n_nodes, g.edges, g.directed)
 
 
 class TestJointDistribution:
@@ -71,6 +82,39 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             JointDistribution({(0, 1): 0.5})
 
+    def test_rejection_messages(self):
+        with pytest.raises(ValueError, match=r"^invalid cell \(0, 0\) with mass 1\.0$"):
+            JointDistribution({(0, 0): 1.0})
+        # the first bad cell in the caller's order is named
+        with pytest.raises(ValueError, match=r"^invalid cell \(2, 1\) with mass -0\.5$"):
+            JointDistribution({(0, 1): 1.0, (2, 1): -0.5, (1, 0): 0.5})
+        with pytest.raises(ValueError, match=r"^joint mass sums to 0\.5, not 1$"):
+            JointDistribution({(0, 1): 0.5})
+        with pytest.raises(ValueError, match=r"^joint mass sums to 0\.0, not 1$"):
+            JointDistribution({})
+        # cells must fit the 32-bit halves of their int64 keys
+        for cell in ((0, 2 ** 32 + 1), (2 ** 31, 1)):
+            with pytest.raises(ValueError, match="invalid cell"):
+                JointDistribution({cell: 1.0})
+
+    @settings(max_examples=50)
+    @given(hop_graphs())
+    def test_dict_constructor_round_trips_in_sorted_order(self, g):
+        j = joint_of(g)
+        again = JointDistribution(j.mass)
+        assert list(again.mass.items()) == list(j.mass.items())
+        assert again == j
+        reordered = JointDistribution(dict(reversed(list(j.mass.items()))))
+        assert list(reordered.mass.items()) == list(j.mass.items())
+
+    def test_mass_is_read_only(self):
+        j = joint_of(P3)
+        with pytest.raises(TypeError):
+            j.mass[(0, 1)] = 0.5
+        with pytest.raises(AttributeError):
+            j.mass = {(0, 1): 1.0}
+        assert j.mass == pytest.approx({(0, 1): 3 / 9, (1, 1): 2 / 9, (1, 2): 2 / 9, (2, 1): 2 / 9})
+
 
 class TestKL:
     def test_self_is_zero(self):
@@ -92,6 +136,71 @@ class TestKL:
         q = joint_distribution(portrait(K3))
         with pytest.raises(ValueError, match=r"\(1, 1\)"):
             kl_divergence_bits(p, q)
+
+
+class TestJsdKernelDifferential:
+    """The array kernel against the dict loop it replaced, bit for bit (==)."""
+
+    @settings(max_examples=150)
+    @given(hop_graphs(), hop_graphs())
+    def test_jsd_and_kl_equal_dict_loops(self, g1, g2):
+        p, q = oracle_joint(g1), oracle_joint(g2)
+        assert jsd_bits(joint_of(g1), joint_of(g2)) == oracles.jsd_parts(p, q)
+        mixture = {c: 0.5 * (p.get(c, 0.0) + q.get(c, 0.0)) for c in p.keys() | q.keys()}
+        got = kl_divergence_bits(joint_of(g1), JointDistribution(mixture))
+        assert got == oracles.kl_bits(p, mixture)
+
+    @settings(max_examples=40)
+    @given(st.lists(hop_graphs(), min_size=2, max_size=6))
+    def test_matrix_entries_equal_jsd_bits(self, graphs):
+        joints = [joint_of(g) for g in graphs]
+        values = netportrait.divergence._jsd_matrix(joints)
+        for i, j in itertools.product(range(len(joints)), repeat=2):
+            assert values[i, j] == (jsd_bits(joints[i], joints[j])[0] if i != j else 0.0)
+
+    @settings(max_examples=40)
+    @given(st.lists(hop_graphs(), min_size=4, max_size=7))
+    def test_matrix_in_batches_with_a_partial_last_batch(self, graphs):
+        div = netportrait.divergence
+        joints = [joint_of(g) for g in graphs]
+        k, cells = len(joints), div._mass_rows(joints).shape[1]
+        logs, log2 = [], div._log2
+        with pytest.MonkeyPatch.context() as mp:
+            # two rows per block: the row with three rows after it ends in a block of one
+            mp.setattr(div, "_JSD_CELLS", 2 * cells)
+            mp.setattr(div, "_log2", lambda x: logs.append(x.size) or log2(x))
+            values = div._jsd_matrix(joints)
+        assert len(logs) == 2 * sum((rows + 1) // 2 for rows in range(1, k))  # two per block
+        for i, j in itertools.combinations(range(k), 2):
+            assert values[i, j] == values[j, i] == jsd_bits(joints[i], joints[j])[0]
+
+    def test_identical_joints_give_exact_zero(self):
+        for g in (P3, K3, dodecahedral_graph(), Graph(4, True, ((0, 1), (2, 1)))):
+            j = joint_of(g)
+            assert jsd_bits(j, j) == (0.0, 0.0, 0.0)
+            assert kl_divergence_bits(j, j) == 0.0
+            assert not netportrait.divergence._jsd_matrix([j, j, joint_of(g)]).any()
+
+    def test_disjoint_supports_are_one_bit_apart(self):
+        p = {(0, 1): 0.25, (1, 1): 0.75}
+        q = {(1, 2): 0.5, (2, 1): 0.5}
+        got = jsd_bits(JointDistribution(p), JointDistribution(q))
+        assert got == oracles.jsd_parts(p, q) == (1.0, 1.0, 1.0)
+
+    def test_one_cell_joint(self):
+        lone = joint_of(Graph(5, False, ()))
+        assert list(lone.mass.items()) == [((0, 1), 1.0)]
+        others = [P3, K3, path_graph(6), Graph(3, True, ((0, 1),))]
+        for g in others:
+            assert jsd_bits(lone, joint_of(g)) == oracles.jsd_parts(dict(lone.mass), oracle_joint(g))
+        values = netportrait.divergence._jsd_matrix([lone] + [joint_of(g) for g in others])
+        assert values[0, 1:].tolist() == [jsd_bits(lone, joint_of(g))[0] for g in others]
+
+    def test_logarithm_is_math_log2(self):
+        # a pair where np.log2 in place of math.log2 changes the last bits
+        p = {(0, 1): 1 / 12, (1, 1): 11 / 12}
+        q = {(0, 1): 2 / 12, (1, 1): 10 / 12}
+        assert jsd_bits(JointDistribution(p), JointDistribution(q)) == oracles.jsd_parts(p, q)
 
 
 class TestPortraitDivergence:

@@ -27,6 +27,7 @@ from graphtools import (
     complete_graph,
     desargues_graph,
     dodecahedral_graph,
+    hop_graphs,
     path_graph,
     permute_graph,
     random_graph_pool,
@@ -124,20 +125,6 @@ class TestPortraitProperties:
             edges = tuple(p for p in pairs if rng.random() < 0.3)
             g = Graph(n, True, edges)
             assert cells_of(portrait(g)) == oracles.portrait_cells(n, edges, directed=True)
-
-
-@st.composite
-def hop_graphs(draw, min_nodes=1, max_nodes=14):
-    """Directed or undirected graphs whose nodes past a random count stay
-    isolated, under a random labeling so isolated nodes fall anywhere."""
-    n = draw(st.integers(min_nodes, max_nodes))
-    directed = draw(st.booleans())
-    linked = draw(st.integers(1, n))
-    pairs = [(u, v) for u in range(linked) for v in range(linked)
-             if u != v and (directed or u < v)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    label = draw(st.permutations(range(n)))
-    return Graph(n, directed, tuple((label[u], label[v]) for u, v in edges))
 
 
 def shuffled_copy(g, rng):
