@@ -19,7 +19,7 @@ from .divergence import _jsd_matrix, _legacy_delta, _report, joint_distribution,
     weighted_portrait_divergence
 from .experiments import ensemble_distributions, rewiring_curve
 from .graph import TRANSFORMS, ColumnCountError, Graph, GraphParseError, parse_edge_list
-from .portrait import BinSpec, portrait, weighted_portrait
+from .portrait import BinSpec, _distinct_lengths, portrait, weighted_portrait
 
 DEFAULT_BINS = 100
 
@@ -202,7 +202,7 @@ def _cmd_portrait(args) -> str:
         if args.bins is None:
             raise UsageError("weighted portraits need an explicit --bins")
         transform = args.transform or "reciprocal"
-        bins = BinSpec.from_quantiles(g._path_lengths(transform)[0], args.bins)
+        bins = BinSpec.from_quantiles(_distinct_lengths(g, transform), args.bins)
         p = weighted_portrait(g, bins, transform)
     else:
         p = portrait(g)

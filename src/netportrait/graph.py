@@ -98,27 +98,25 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """In-neighbour CSR (indptr, indices); both directions when undirected."""
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """In-neighbour CSR (indptr, indices, edge ids); both ways when undirected."""
         return _in_neighbours(self, symmetric=not self.directed)
 
     @cached_property
-    def _sweeps(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    def _sweeps(self) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
         # transform -> kept sweep; racing threads store equal values
         return {}
 
-    def _path_lengths(self, transform: str) -> tuple[np.ndarray, np.ndarray]:
-        """All-sources sweep on first use: finite lengths over ordered pairs
-        i != j, source by source, and the n + 1 run offsets."""
+    def _path_lengths(self, transform: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        """All-sources sweep on first use, kept per batch of sources: finite lengths
+        over ordered pairs i != j, source by source, and the count per source."""
         swept = self._sweeps.get(transform)
         if swept is None:
-            runs, sizes = [np.empty(0)], [[0]]
+            swept = []
             for dist in _sweep(self, np.arange(self.n_nodes), transform):
                 keep = (dist > 0) & (dist < np.inf)  # costs are positive: 0 only at the source
-                runs.append(dist[keep])
-                sizes.append(keep.sum(axis=1))
-            swept = self._sweeps[transform] = (np.concatenate(runs),
-                                               np.cumsum(np.concatenate(sizes)))
+                swept.append((dist[keep], keep.sum(axis=1)))
+            self._sweeps[transform] = swept
         return swept
 
 
@@ -126,20 +124,15 @@ def parse_edge_list(source: str | bytes | IO, *, directed: bool = False,
                     weighted: bool = False) -> Graph:
     """Parse an edge list into a Graph.
 
-    Format: UTF-8 text, one edge per line, fields separated by whitespace
-    and/or commas; lines starting with ``#`` are comments. Two fields
-    (``u v``) unless ``weighted``, then three (``u v w``) with w a positive
-    real. Labels map to dense ids in first-appearance order. Self-loops are
-    dropped and duplicate edges collapsed (weights summed), each with an
-    EdgeListWarning.
+    Format: UTF-8 text, a leading byte-order mark skipped, one edge per line,
+    fields separated by whitespace and/or commas; lines starting with ``#``
+    are comments. Two fields (``u v``) unless ``weighted``, then three
+    (``u v w``) with w a positive real. Labels map to dense ids in
+    first-appearance order. Self-loops are dropped and duplicate edges
+    collapsed (weights summed), each with an EdgeListWarning.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    text = (data.decode("utf-8") if isinstance(data, bytes) else data).removeprefix("\ufeff")
 
     ids: dict[str, int] = {}
     order: list[Edge] = []
@@ -201,7 +194,7 @@ def parse_edge_list(source: str | bytes | IO, *, directed: bool = False,
 
 def connected_components(g: Graph) -> list[int]:
     """Component sizes, largest first (weak connectivity if directed)."""
-    indptr, indices = _in_neighbours(g, symmetric=True) if g.directed else g._csr
+    indptr, indices, _ = _in_neighbours(g, symmetric=True) if g.directed else g._csr
     sizes: list[int] = []
     unseen = np.ones(g.n_nodes, dtype=bool)
     while unseen.any():
@@ -221,15 +214,18 @@ def _check_source(g: Graph, source: int) -> None:
         raise IndexError(f"source {source} out of range for {g.n_nodes} nodes")
 
 
-def _in_neighbours(g: Graph, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) listing, per node v, u for each edge (u, v) (and
-    (v, u) when symmetric): one pull over it follows edges forwards."""
-    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+def _in_neighbours(g: Graph, symmetric: bool, reverse: bool = False) -> tuple[np.ndarray, ...]:
+    """CSR (indptr, indices, edge ids) listing, per node v, u and the int32 index
+    of each edge (u, v) in g.edges (and of (v, u) when symmetric): one pull over
+    it follows edges forwards. ``reverse`` swaps u and v, so a push follows it."""
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)[:, ::-1 if reverse else 1]
+    ids = np.arange(len(ends), dtype=np.int32)
     if symmetric:
-        ends = np.vstack([ends, ends[:, ::-1]])
+        ends, ids = np.vstack([ends, ends[:, ::-1]]), np.concatenate([ids, ids])
+    order = np.argsort(ends[:, 1], kind="stable")
     indptr = np.zeros(g.n_nodes + 1, dtype=np.intp)
     np.cumsum(np.bincount(ends[:, 1], minlength=g.n_nodes), out=indptr[1:])
-    return indptr, ends[np.argsort(ends[:, 1], kind="stable"), 0]
+    return indptr, ends[order, 0], ids[order]
 
 
 def _hop_levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray):
@@ -271,7 +267,7 @@ def sssp_unweighted(g: Graph, source: int) -> np.ndarray:
     """Hop-count distances from source; np.inf marks unreachable nodes."""
     _check_source(g, source)
     dist = np.full(g.n_nodes, np.inf)
-    for d, new in enumerate(_hop_levels(*g._csr, np.array([source]))):
+    for d, new in enumerate(_hop_levels(*g._csr[:2], np.array([source]))):
         dist[new[:, 0] != 0] = d
     return dist
 
@@ -297,15 +293,10 @@ def _sweep(g: Graph, sources: np.ndarray, transform: str):
     if transform not in TRANSFORMS:
         raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
     n = g.n_nodes
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    w = np.array(g.weights or [1.0] * len(ends))
-    cost = 1.0 / w if transform == "reciprocal" else w
-    if not g.directed:
-        ends, cost = np.vstack([ends, ends[:, ::-1]]), np.concatenate([cost, cost])
-    order = np.argsort(ends[:, 0], kind="stable")
-    heads, cost = ends[order, 1], cost[order]  # out-edges grouped by tail
-    degree = np.bincount(ends[:, 0], minlength=n)
-    first_out = np.cumsum(degree) - degree
+    first_out, heads, edge = _in_neighbours(g, False, reverse=True) if g.directed else g._csr
+    w = np.array(g.weights or [1.0] * g.n_edges)
+    cost = (1.0 / w if transform == "reciprocal" else w)[edge]
+    degree = np.diff(first_out)
     step = max(1, _SWEEP_ENTRIES // max(n, heads.size, 1))
     for first in range(0, sources.size, step):
         batch = sources[first:first + step]

@@ -8,12 +8,14 @@ graphs get binned shells; bins come from quantiles of the observed path
 lengths so each bin holds roughly the same number of distinct lengths.
 
 Bins and binned portraits of a graph share one all-sources shortest-path sweep per
-transform, kept on the graph: 8 bytes per reachable ordered pair once swept.
+transform, kept on the graph in the batches of sources it ran in: 8 bytes per
+reachable ordered pair once swept. Bins and portraits read it batch by batch.
 
 Hop-count portraits run 256 breadth-first searches at a time, one per bit
 lane of four 64-bit words per node, over the in-neighbour CSR (compressed
-sparse row) each graph keeps: 8 bytes per node and per adjacency entry, two
-entries per undirected edge. A batch's temporaries are per level, chiefly the
+sparse row) each graph keeps: 8 bytes per node and 12 per adjacency entry with
+its edge id, two entries per undirected edge; an undirected graph's weighted
+sweeps push over it too. A batch's temporaries are per level, chiefly the
 gathered frontier at 32 bytes per adjacency entry: about 0.8 MB at N = 4000
 with 12,000 undirected edges. Batches are independent and their order never
 affects the integer counts, so they could fan out across processes; they run
@@ -189,7 +191,7 @@ def portrait(g: Graph, *, ignore_weights: bool = False) -> Portrait:
     keys = []
     for first in range(0, n, lanes):
         sources = np.arange(first, min(first + lanes, n))
-        for shell, new in enumerate(_hop_levels(*g._csr, sources)):
+        for shell, new in enumerate(_hop_levels(*g._csr[:2], sources)):
             k = _lane_counts(new)
             keys.append(shell * cols + k[k > 0])
     keys = np.concatenate(keys)
@@ -209,12 +211,14 @@ def weighted_portrait(g: Graph, bins: BinSpec, transform: str = "reciprocal") ->
     _require_nodes(g)
     if not g.weighted:
         raise ValueError("weighted_portrait requires a weighted graph")
-    n = g.n_nodes
-    lengths, offsets = g._path_lengths(transform)
+    n, first = g.n_nodes, 0
     per_source = np.empty((n, bins.n_bins), dtype=np.int64)  # nodes in bin b, per source
-    for source in range(n):
-        run = lengths[offsets[source]:offsets[source + 1]]
-        per_source[source] = np.bincount(bins.index_array(run), minlength=bins.n_bins)
+    for lengths, sizes in g._path_lengths(transform):
+        source = np.repeat(np.arange(sizes.size), sizes)
+        per_source[first:first + sizes.size] = np.bincount(
+            source * bins.n_bins + bins.index_array(lengths),
+            minlength=sizes.size * bins.n_bins).reshape(-1, bins.n_bins)
+        first += sizes.size
     counts = np.zeros((1 + bins.n_bins, _column_count(n)), dtype=np.int64)
     counts[0, 1] = n
     np.add.at(counts, (1 + np.arange(bins.n_bins), per_source), 1)
@@ -225,7 +229,13 @@ def weighted_portrait(g: Graph, bins: BinSpec, transform: str = "reciprocal") ->
 def unique_path_lengths(g: Graph, transform: str = "reciprocal") -> set[float]:
     """Distinct finite path lengths over ordered pairs i != j, under exact
     float equality: a 0.1 + 0.1 + 0.1 path and a 0.3 edge are two lengths."""
-    return set(np.unique(g._path_lengths(transform)[0]).tolist())
+    return set(_distinct_lengths(g, transform).tolist())
+
+
+def _distinct_lengths(g: Graph, transform: str) -> np.ndarray:
+    """Sorted distinct lengths of the kept sweep, pooled from each batch's own."""
+    batches = g._path_lengths(transform)
+    return np.unique(np.concatenate([np.empty(0)] + [np.unique(run) for run, _ in batches]))
 
 
 def make_shared_bins(g1: Graph, g2: Graph, n_bins: int,
@@ -237,8 +247,7 @@ def make_shared_bins(g1: Graph, g2: Graph, n_bins: int,
     """
     if not (g1.weighted and g2.weighted):
         raise ValueError("shared bins require two weighted graphs")
-    # each graph's distinct lengths, so the pooled copy is no larger than needed
-    pooled = np.concatenate([np.unique(g._path_lengths(transform)[0]) for g in (g1, g2)])
+    pooled = np.concatenate([_distinct_lengths(g, transform) for g in (g1, g2)])
     if not pooled.size:
         raise ValueError("no finite path lengths: both graphs are edgeless")
     return BinSpec.from_quantiles(pooled, n_bins)

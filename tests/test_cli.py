@@ -57,6 +57,18 @@ class TestCompare:
         digits = re.sub(r"[^0-9]", "", out.strip().lstrip("0."))
         assert len(digits) >= 12
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        paths = [tmp_path / name for name in ("plain.edges", "bom.edges", "bom_comment.edges")]
+        paths[0].write_bytes(b"a b\nb c\nc a\n")
+        paths[1].write_bytes(b"\xef\xbb\xbfa b\nb c\nc a\n")
+        paths[2].write_bytes(b"\xef\xbb\xbf# triangle\na b\nb c\nc a\n")
+        for path in paths:
+            code, out, err = run(capsys, ["compare", str(paths[0]), str(path),
+                                          "--format", "csv"])
+            assert (code, out, err) == (0, "0.0\n", "")
+        dumps = [run(capsys, ["portrait", str(path)]) for path in paths]
+        assert dumps[0][0] == 0 and dumps[1:] == dumps[:1] * 2
+
     def test_legacy_flag(self, capsys, p3_file, k3_file):
         code, out, _ = run(capsys, ["compare", p3_file, k3_file, "--legacy"])
         payload = json.loads(out)

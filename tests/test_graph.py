@@ -14,6 +14,7 @@ from netportrait import (
     GraphParseError,
     connected_components,
     parse_edge_list,
+    portrait,
     sssp_unweighted,
     sssp_weighted,
     unique_path_lengths,
@@ -51,6 +52,18 @@ class TestParse:
     def test_bytes_and_stream_input(self):
         assert parse_edge_list(b"a b\n").n_edges == 1
         assert parse_edge_list(io.StringIO("a b\n")).n_edges == 1
+
+    def test_byte_order_mark_is_skipped(self):
+        text = "\ufeffa b\nb c\nc a\n"
+        plain = parse_edge_list(text[1:])
+        for source in (text, text.encode("utf-8"), io.BytesIO(text.encode("utf-8")),
+                       io.StringIO(text)):
+            g = parse_edge_list(source)
+            assert g == plain and g.labels == ("a", "b", "c")
+        assert parse_edge_list("\ufeff# header\na b\n").labels == ("a", "b")
+        # only one mark, and only at the start of the text
+        assert parse_edge_list("\ufeff\ufeffa b\n").labels == ("\ufeffa", "b")
+        assert parse_edge_list("a b\n\ufeffc a\n").labels == ("a", "b", "\ufeffc")
 
     def test_duplicates_collapse_unweighted(self):
         with pytest.warns(EdgeListWarning, match="duplicate"):
@@ -227,6 +240,26 @@ class TestAgainstFloydWarshall:
             assert sorted(sizes, reverse=True) == connected_components(g)
 
 
+class TestOneAdjacency:
+    def test_undirected_sweeps_and_hop_portrait_build_one_csr(self, monkeypatch):
+        build = netportrait.graph._in_neighbours
+        built = []
+
+        def counting(g, *args, **kwargs):
+            built.append(args)
+            return build(g, *args, **kwargs)
+
+        monkeypatch.setattr(netportrait.graph, "_in_neighbours", counting)
+        g = Graph(6, False, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 4)),
+                  weights=(1.0, 2.0, 0.5, 4.0, 1.5, 3.0))
+        for s in range(g.n_nodes):
+            sssp_weighted(g, s, "identity")
+            sssp_weighted(g, s, "reciprocal")
+        assert len(built) == 1 and "_csr" in vars(g)
+        portrait(g, ignore_weights=True)
+        assert len(built) == 1
+
+
 @st.composite
 def weighted_graphs(draw, min_nodes=1, max_nodes=12):
     """Small directed or undirected graphs with some isolated nodes, carrying
@@ -252,10 +285,11 @@ def _oracle_rows(g, transform):
 
 
 def _assert_kept_sweep_matches(g, transform, rows):
-    lengths, offsets = g._path_lengths(transform)
+    batches = g._path_lengths(transform)
     runs = [[d for v, d in enumerate(row) if v != s and d < INF] for s, row in enumerate(rows)]
+    lengths = np.concatenate([lengths for lengths, _ in batches])
     assert lengths.tolist() == [d for run in runs for d in run]
-    assert offsets.tolist() == np.cumsum([0] + [len(run) for run in runs]).tolist()
+    assert np.concatenate([sizes for _, sizes in batches]).tolist() == [len(run) for run in runs]
 
 
 class TestSweepAgainstDijkstra:

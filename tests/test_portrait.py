@@ -313,6 +313,14 @@ class TestWeightedPortrait:
         with pytest.raises(ValueError, match="outside"):
             weighted_portrait(g, BinSpec((1.0, 2.0, 2.5)), "identity")
 
+    def test_out_of_bins_error_names_first_length_in_source_order(self):
+        # source 0 reaches 1, 2, 3 at 5.0, 1.0, 3.0: of the lengths outside the
+        # bins, 5.0 comes first, 3.0 is the least and 8.0 (1 to 3) the largest
+        g = Graph(4, False, ((0, 1), (0, 2), (2, 3)), weights=(5.0, 1.0, 2.0))
+        with pytest.raises(ValueError) as err:
+            weighted_portrait(g, BinSpec((1.0, 2.0, 2.5)), "identity")
+        assert str(err.value) == "path length 5.0 outside bins (1.0, 2.0, 2.5)"
+
     def test_directed_weighted_uses_out_distances(self):
         # asymmetric weighted triangle: out-distances only
         g = Graph(3, True, ((0, 1), (1, 2), (2, 0)), weights=(1.0, 2.0, 4.0))
@@ -361,6 +369,51 @@ class TestWeightedPortrait:
             got = {(shell, k): k * int(c) / s
                    for (shell, k), c in cells_of(p).items() if k > 0}
             assert got == pytest.approx(want)
+
+
+def _batched_copy(g, transform):
+    """An equal graph whose kept sweep has >= 3 batches, the last one short."""
+    copy = Graph(g.n_nodes, g.directed, g.edges, weights=g.weights)
+    step = (g.n_nodes - 1) // 2  # 7..12 nodes: 3 batches, the last one short
+    entries = g.n_edges * (1 if g.directed else 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netportrait.graph, "_SWEEP_ENTRIES", step * max(g.n_nodes, entries))
+        rows = [sizes.size for _, sizes in copy._path_lengths(transform)]
+    assert len(rows) >= 3 and rows[-1] < step == rows[0]
+    return copy
+
+
+class TestWeightedBinningAcrossBatches:
+    """Bins, distinct lengths and binned portraits read a kept sweep of several
+    batches as they read a sweep of one."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("transform", ["identity", "reciprocal"])
+    def test_batched_sweep_bins_as_one_batch(self, directed, transform):
+        rng = np.random.default_rng(61 + directed)
+        for i in range(6):
+            pair = []
+            for j in range(2):
+                n = int(rng.integers(7, 13))
+                arcs = [(u, v) for u in range(n) for v in range(n)
+                        if u != v and (directed or u < v)]
+                g = Graph(n, directed, tuple(a for a in arcs if rng.random() < 0.3))
+                pair.append(attach_weights(g, seed=10 * i + j, kind="dyadic"))
+            g, h = pair
+            gb, hb = _batched_copy(g, transform), _batched_copy(h, transform)
+            assert unique_path_lengths(gb, transform) == unique_path_lengths(g, transform)
+            spec = make_shared_bins(gb, hb, 4, transform)
+            assert spec == make_shared_bins(g, h, 4, transform)
+            for one, batched in ((g, gb), (h, hb)):
+                p = weighted_portrait(batched, spec, transform)
+                assert p == weighted_portrait(one, spec, transform)
+                want = oracles.weighted_joint_cells(one.n_nodes, one.edges, one.weights,
+                                                    transform, list(spec.edges),
+                                                    directed=directed)
+                s = p.reachable_pairs
+                got = {(shell, k): k * int(c) / s
+                       for (shell, k), c in cells_of(p).items() if k > 0}
+                assert got == pytest.approx(want)
 
 
 class TestPadding:
