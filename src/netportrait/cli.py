@@ -225,9 +225,12 @@ def _cmd_experiment(args) -> str:
             raise UsageError(f"bad --rewirings list: {args.rewirings!r}") from None
         if not all(m in ("er", "ba") for m in models):
             raise UsageError(f"--models entries must be er or ba, got {args.models!r}")
-        rows = rewiring_curve(models=models, n_nodes=args.n_nodes, er_p=args.er_p,
-                              ba_m=args.ba_m, rewirings=rewirings,
-                              n_seeds=args.repeats, seed=args.seed)
+        try:
+            rows = rewiring_curve(models=models, n_nodes=args.n_nodes, er_p=args.er_p,
+                                  ba_m=args.ba_m, rewirings=rewirings,
+                                  n_seeds=args.repeats, seed=args.seed)
+        except RuntimeError as exc:  # a rewiring ran out of attempts: an input error
+            raise ValueError(str(exc)) from None
         header = "model,mode,n_rewirings,mean_d_js,sd_d_js,n_seeds"
         csv_rows = [f"{r.model},{r.mode},{r.n_rewirings},{_fmt(r.mean_d_js)},"
                     f"{_fmt(r.sd_d_js)},{r.n_seeds}" for r in rows]

@@ -100,12 +100,10 @@ def joint_distribution(p: Portrait) -> JointDistribution:
     ordered reachable pairs including self-pairs; k=0 cells carry no mass, so
     padding a portrait never changes its joint distribution.
     """
-    shells, ks = np.nonzero(p.counts[:, 1:])  # row-major, as the cells are sorted
-    ks += 1
     # int64 products stay below 2^53, so this division rounds as int / int does
-    masses = ks * p.counts[shells, ks] / p.reachable_pairs
+    masses = (p.keys & 0xFFFFFFFF) * p.cell_counts / p.reachable_pairs
     joint = JointDistribution.__new__(JointDistribution)
-    joint._set((shells << 32) | ks, masses)
+    joint._set(p.keys, masses)
     return joint
 
 
@@ -213,15 +211,11 @@ def legacy_delta(g1: Graph, g2: Graph) -> float:
 
 
 def _legacy_delta(p1: Portrait, p2: Portrait) -> float:
-    rows = max(p1.n_rows, p2.n_rows)
-    b1 = pad_portrait(p1, rows).counts
-    b2 = pad_portrait(p2, rows).counts
-    cols = max(b1.shape[1], b2.shape[1])
-    b1 = np.pad(b1, ((0, 0), (0, cols - b1.shape[1])))
-    b2 = np.pad(b2, ((0, 0), (0, cols - b2.shape[1])))
+    rows, cols = max(p1.n_rows, p2.n_rows), max(p1.n_nodes, p2.n_nodes, 2)
+    b1, b2 = (np.pad(pad_portrait(p, rows).counts, ((0, 0), (0, cols - max(p.n_nodes, 2))))
+              for p in (p1, p2))
 
-    c1 = np.cumsum(b1, axis=1) / b1.sum(axis=1, keepdims=True)
-    c2 = np.cumsum(b2, axis=1) / b2.sum(axis=1, keepdims=True)
+    c1, c2 = (np.cumsum(b, axis=1) / b.sum(axis=1, keepdims=True) for b in (b1, b2))
     ks = np.abs(c1 - c2).max(axis=1)
     alpha = b1[:, 1:].sum(axis=1) + b2[:, 1:].sum(axis=1)
     return float((alpha * ks).sum() / alpha.sum())

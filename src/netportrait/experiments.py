@@ -45,6 +45,8 @@ def _child_seed(rng: np.random.Generator) -> int:
 def ensemble_distributions(n_nodes: int = 300, avg_degree: float = 6.0,
                            n_pairs: int = 30, seed: int = 0) -> list[EnsemblePoint]:
     """Divergence samples for ER-ER, BA-BA and ER-BA pairs at matched mean degree."""
+    if n_nodes < 2:
+        raise ValueError(f"ensembles need n_nodes >= 2, got {n_nodes}")
     rng = np.random.default_rng(seed)
     p = avg_degree / (n_nodes - 1)
     m = max(1, round(avg_degree / 2))
@@ -68,6 +70,8 @@ def rewiring_curve(models: tuple[str, ...] = ("er", "ba"), n_nodes: int = 300,
                    n_seeds: int = 30, seed: int = 0) -> list[RewiringPoint]:
     """Mean and s.d. of the divergence between a base graph and rewired copies,
     for both rewiring modes, as a function of the number of rewirings."""
+    if n_seeds < 1 or min(rewirings, default=0) < 0:
+        raise ValueError(f"need n_seeds >= 1 and rewirings >= 0, got {n_seeds}, {rewirings}")
     rng = np.random.default_rng(seed)
     samples: dict[tuple[str, str, int], list[float]] = {
         (model, mode, n): [] for model in models for mode in REWIRE_MODES

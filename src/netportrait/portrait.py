@@ -7,9 +7,13 @@ invariants: relabeling the nodes leaves them bit-for-bit unchanged. Weighted
 graphs get binned shells; bins come from quantiles of the observed path
 lengths so each bin holds roughly the same number of distinct lengths.
 
-Bins and binned portraits of a graph share one all-sources shortest-path sweep per
-transform, kept on the graph in the batches of sources it ran in: 8 bytes per
-reachable ordered pair once swept. Bins and portraits read it batch by batch.
+A portrait is immutable and stores its occupied k >= 1 cells only, 16 bytes
+each; ``counts`` is a read-only dense view of rows x max(N, 2) x 8 bytes, built
+on first use, which ``portrait --format csv`` and ``compare --legacy`` pay for.
+Portraits come from ``portrait``, ``weighted_portrait`` or ``Portrait.from_dict``.
+Bins and binned portraits of a graph share one all-sources shortest-path sweep
+per transform, kept on the graph in the batches of sources it ran in (8 bytes
+per reachable ordered pair), and read it batch by batch.
 
 Hop-count portraits run 256 breadth-first searches at a time, one per bit
 lane of four 64-bit words per node, over the in-neighbour CSR (compressed
@@ -18,13 +22,12 @@ its edge id, two entries per undirected edge; an undirected graph's weighted
 sweeps push over it too. A batch's temporaries are per level, chiefly the
 gathered frontier at 32 bytes per adjacency entry: about 0.8 MB at N = 4000
 with 12,000 undirected edges. Batches are independent and their order never
-affects the integer counts, so they could fan out across processes; they run
-sequentially here. Built portraits are immutable.
+affects the integer counts, so they could fan out across processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
@@ -43,12 +46,12 @@ class BinSpec:
     def __post_init__(self):
         if len(self.edges) < 2:
             raise ValueError("need at least two bin edges")
-        if self.edges[0] <= 0:
-            raise ValueError("bin edges must be positive path lengths")
+        if not self.edges[0] > 0:  # tests are negated, so that a NaN edge fails them
+            raise ValueError(f"bin edges must be positive path lengths, got {self.edges}")
         for a, b in zip(self.edges, self.edges[1:-1]):
             if not a < b:
                 raise ValueError(f"bin edges must increase strictly, got {self.edges}")
-        if self.edges[-1] < self.edges[-2]:
+        if not self.edges[-1] >= self.edges[-2]:
             raise ValueError(f"final bin edge must not decrease, got {self.edges}")
 
     @property
@@ -64,8 +67,9 @@ class BinSpec:
         return np.asarray(self.edges)
 
     def index_array(self, lengths: np.ndarray) -> np.ndarray:
-        if lengths.size and (lengths.min() < self.edges[0] or lengths.max() > self.edges[-1]):
-            bad = lengths[(lengths < self.edges[0]) | (lengths > self.edges[-1])][0]
+        lo, hi = self.edges[0], self.edges[-1]
+        if lengths.size and not (lengths.min() >= lo and lengths.max() <= hi):  # NaN fails
+            bad = lengths[~((lengths >= lo) & (lengths <= hi))][0]
             raise ValueError(f"path length {bad} outside bins {self.edges}")
         return np.minimum(np.searchsorted(self._edge_array, lengths, side="right") - 1,
                           self.n_bins - 1)
@@ -82,9 +86,9 @@ class BinSpec:
         """
         if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        if not isinstance(lengths, np.ndarray):
-            lengths = list(lengths)
-        uniq = np.unique(np.asarray(lengths, dtype=np.float64))
+        uniq = np.asarray(lengths if isinstance(lengths, np.ndarray) else list(lengths), float)
+        if not (uniq[1:] > uniq[:-1]).all():  # sorted distinct input is used as it is
+            uniq = np.unique(uniq)
         if not uniq.size:
             raise ValueError("no finite positive path lengths to bin")
         lowers = np.unique(uniq[np.arange(n_bins) * uniq.size // n_bins])
@@ -93,9 +97,12 @@ class BinSpec:
 
 @dataclass(frozen=True, eq=False)
 class Portrait:
-    """Shell-by-count matrix plus the metadata needed to interpret it."""
+    """Occupied cells ``shell << 32 | k`` (k >= 1, sorted) in ``keys``, the nodes
+    in each in ``cell_counts``; each shell's k = 0 cell holds the rest."""
 
-    counts: np.ndarray
+    keys: np.ndarray
+    cell_counts: np.ndarray
+    n_rows: int
     n_nodes: int
     directed: bool = False
     bin_edges: tuple[float, ...] | None = None
@@ -103,19 +110,16 @@ class Portrait:
     def __eq__(self, other):
         if not isinstance(other, Portrait):
             return NotImplemented
-        return (self.n_nodes == other.n_nodes
-                and self.directed == other.directed
-                and self.bin_edges == other.bin_edges
-                and self.counts.shape == other.counts.shape
-                and bool(np.array_equal(self.counts, other.counts)))
+        return self.to_dict() == other.to_dict()
 
-    @property
-    def n_rows(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.counts.shape[1]
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Read-only dense rows x max(N, 2) matrix counts[shell][k], built on first use."""
+        counts = np.zeros((self.n_rows, max(self.n_nodes, 2)), dtype=np.int64)
+        counts[self.keys >> 32, self.keys & 0xFFFFFFFF] = self.cell_counts
+        counts[:, 0] = self.n_nodes - counts.sum(axis=1)
+        counts.flags.writeable = False
+        return counts
 
     @property
     def weighted(self) -> bool:
@@ -124,20 +128,19 @@ class Portrait:
     @property
     def reachable_pairs(self) -> int:
         """Ordered reachable pairs including self-pairs: sum of k*counts."""
-        k = np.arange(self.n_cols, dtype=np.int64)
-        return int((self.counts * k).sum())
+        return int(((self.keys & 0xFFFFFFFF) * self.cell_counts).sum())
 
     def diameter(self) -> int:
         """Largest shell index holding any node with k > 0 neighbors there."""
-        occupied = np.nonzero(self.counts[:, 1:].sum(axis=1))[0]
-        return int(occupied[-1])
+        return int(self.keys[-1] >> 32)
 
     def to_dict(self) -> dict:
-        """JSON-ready form with sparse [k, count] pairs per row."""
-        rows = []
-        for row in self.counts:
-            nz = np.nonzero(row)[0]
-            rows.append([[int(k), int(row[k])] for k in nz])
+        """JSON-ready form with sparse [k, count] pairs per row, k ascending."""
+        # each shell's k = 0 count is what its occupied cells leave of N
+        rest = self.n_nodes - np.bincount(self.keys >> 32, self.cell_counts, self.n_rows)
+        rows = [[[0, int(r)]] if r else [] for r in rest.tolist()]
+        for key, c in zip(self.keys.tolist(), self.cell_counts.tolist()):
+            rows[key >> 32].append([key & 0xFFFFFFFF, c])
         return {
             "n_nodes": self.n_nodes,
             "directed": self.directed,
@@ -147,25 +150,34 @@ class Portrait:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Portrait":
-        n = int(data["n_nodes"])
-        n_rows = len(data["rows"])
-        max_k = max((k for row in data["rows"] for k, _ in row), default=0)
-        counts = np.zeros((n_rows, max(max_k + 1, _column_count(n))), dtype=np.int64)
-        for shell, row in enumerate(data["rows"]):
-            for k, c in row:
-                counts[shell, k] = c
+        """Inverse of ``to_dict``; ValueError names any row that is not distinct k <
+        max(N, 2) with counts summing to N, all non-negative ints. Bin edges must be valid."""
+        n, rows, cells = int(data["n_nodes"]), data["rows"], {}
+        if n < 1 or not rows:
+            raise ValueError("a portrait needs n_nodes >= 1 and at least one row")
+        for shell, row in enumerate(rows):
+            pairs = dict(cell for cell in row if len(cell) == 2)
+            if not (len(pairs) == len(row)
+                    and all(type(x) is int and x >= 0 for x in [*pairs, *pairs.values()])
+                    and max(pairs, default=0) < max(n, 2) and sum(pairs.values()) == n):
+                raise ValueError(f"row {shell} is not a portrait row of {n} nodes: {row!r}")
+            cells.update({shell << 32 | k: c for k, c in pairs.items() if k and c})
         bins = data.get("bin_edges")
-        return cls(counts=counts, n_nodes=n, directed=bool(data.get("directed", False)),
-                   bin_edges=tuple(bins) if bins is not None else None)
+        return cls(*np.array(sorted(cells.items()), dtype=np.int64).reshape(-1, 2).T,
+                   n_rows=len(rows), n_nodes=n, directed=bool(data.get("directed", False)),
+                   bin_edges=BinSpec(tuple(bins)).edges if bins is not None else None)
 
     def to_dense_csv(self) -> str:
         """Dense rows-by-k CSV (no header), for plotting."""
         return "\n".join(",".join(str(int(c)) for c in row) for row in self.counts) + "\n"
 
 
-def _column_count(n_nodes: int) -> int:
-    # k <= n-1 at every shell once n >= 2; the n=1 self-shell still needs k=1.
-    return max(n_nodes, 2)
+def _cells(batches: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct cell keys and the nodes in each, pooled from ``batches`` of
+    distinct keys and the nodes in each (float sums, exact below 2^53)."""
+    keys, counts = map(np.concatenate, zip(*batches))
+    keys, at = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(at, counts).astype(np.int64)
 
 
 def _require_nodes(g: Graph) -> None:
@@ -184,21 +196,20 @@ def portrait(g: Graph, *, ignore_weights: bool = False) -> Portrait:
     if g.weighted and not ignore_weights:
         raise ValueError("graph is weighted; pass ignore_weights=True for a "
                          "hop-count portrait or use weighted_portrait")
-    n = g.n_nodes
-    cols, lanes = _column_count(n), 64 * _BFS_WORDS
-    # one cell key shell * cols + k per (source, shell it reaches); sources past
-    # their last shell fill k = 0
-    keys = []
-    for first in range(0, n, lanes):
-        sources = np.arange(first, min(first + lanes, n))
-        for shell, new in enumerate(_hop_levels(*g._csr[:2], sources)):
-            k = _lane_counts(new)
-            keys.append(shell * cols + k[k > 0])
-    keys = np.concatenate(keys)
-    rows = int(keys.max()) // cols + 1
-    counts = np.bincount(keys, minlength=rows * cols).reshape(rows, cols)
-    counts[:, 0] = n - counts.sum(axis=1)
-    return Portrait(counts=counts, n_nodes=n, directed=g.directed)
+    n, lanes = g.n_nodes, 64 * _BFS_WORDS
+
+    def levels():
+        # one batch of cells per level, so that only its distinct cells are held
+        for first in range(0, n, lanes):
+            sources = np.arange(first, min(first + lanes, n))
+            for shell, new in enumerate(_hop_levels(*g._csr[:2], sources)):
+                per_k = np.bincount(_lane_counts(new))  # sources with k nodes at shell
+                k = np.flatnonzero(per_k[1:]) + 1
+                yield shell << 32 | k, per_k[k]
+
+    keys, cell_counts = _cells(levels())
+    return Portrait(keys, cell_counts, n_rows=int(keys[-1] >> 32) + 1, n_nodes=n,
+                    directed=g.directed)
 
 
 def weighted_portrait(g: Graph, bins: BinSpec, transform: str = "reciprocal") -> Portrait:
@@ -211,18 +222,16 @@ def weighted_portrait(g: Graph, bins: BinSpec, transform: str = "reciprocal") ->
     _require_nodes(g)
     if not g.weighted:
         raise ValueError("weighted_portrait requires a weighted graph")
-    n, first = g.n_nodes, 0
-    per_source = np.empty((n, bins.n_bins), dtype=np.int64)  # nodes in bin b, per source
+    n, n_bins = g.n_nodes, bins.n_bins
+    keys = [np.ones(n, dtype=np.int64)]  # each node's self-shell cell (0, 1)
     for lengths, sizes in g._path_lengths(transform):
         source = np.repeat(np.arange(sizes.size), sizes)
-        per_source[first:first + sizes.size] = np.bincount(
-            source * bins.n_bins + bins.index_array(lengths),
-            minlength=sizes.size * bins.n_bins).reshape(-1, bins.n_bins)
-        first += sizes.size
-    counts = np.zeros((1 + bins.n_bins, _column_count(n)), dtype=np.int64)
-    counts[0, 1] = n
-    np.add.at(counts, (1 + np.arange(bins.n_bins), per_source), 1)
-    return Portrait(counts=counts, n_nodes=n, directed=g.directed,
+        per = np.bincount(source * n_bins + bins.index_array(lengths))
+        cell = np.flatnonzero(per)  # source * n_bins + bin, holding per[cell] nodes
+        keys.append((cell % n_bins + 1) << 32 | per[cell])
+    # at most n keys per bin row and n self-shell keys, so one reduction holds them
+    keys, cell_counts = np.unique(np.concatenate(keys), return_counts=True)
+    return Portrait(keys, cell_counts, n_rows=1 + n_bins, n_nodes=n, directed=g.directed,
                     bin_edges=bins.edges)
 
 
@@ -250,19 +259,15 @@ def make_shared_bins(g1: Graph, g2: Graph, n_bins: int,
     pooled = np.concatenate([_distinct_lengths(g, transform) for g in (g1, g2)])
     if not pooled.size:
         raise ValueError("no finite path lengths: both graphs are edgeless")
-    return BinSpec.from_quantiles(pooled, n_bins)
+    pooled.sort()  # in place: the two sorted distinct runs merge without a copy
+    return BinSpec.from_quantiles(pooled[np.r_[True, pooled[1:] != pooled[:-1]]], n_bins)
 
 
 def pad_portrait(p: Portrait, target_rows: int) -> Portrait:
     """Append empty shells (all N nodes in the k=0 cell) up to target_rows."""
     if target_rows < p.n_rows:
         raise ValueError(f"cannot pad {p.n_rows} rows down to {target_rows}")
-    if target_rows == p.n_rows:
-        return p
-    extra = np.zeros((target_rows - p.n_rows, p.n_cols), dtype=np.int64)
-    extra[:, 0] = p.n_nodes
-    return Portrait(counts=np.vstack([p.counts, extra]), n_nodes=p.n_nodes,
-                    directed=p.directed, bin_edges=p.bin_edges)
+    return p if target_rows == p.n_rows else replace(p, n_rows=target_rows)
 
 
 def portrait_identities(p: Portrait) -> dict:
@@ -275,20 +280,12 @@ def portrait_identities(p: Portrait) -> dict:
     """
     if p.weighted:
         raise ValueError("identities are defined for hop-count portraits")
-    k = np.arange(p.n_cols, dtype=np.int64)
-
-    def n_paths(shell: int) -> int:
-        s = int((p.counts[shell] * k).sum())
-        return s if p.directed else s // 2
-
-    if p.n_rows > 1:
-        degree_histogram = {int(i): int(c) for i, c in enumerate(p.counts[1]) if c > 0}
-    else:
-        degree_histogram = {0: p.n_nodes}
+    rows = p.to_dict()["rows"] + [[[0, p.n_nodes]]]  # and an empty shell past the last
+    paths = [sum(k * c for k, c in row) // (1 if p.directed else 2) for row in rows]
     return {
         "n_nodes": p.n_nodes,
-        "n_edges": n_paths(1) if p.n_rows > 1 else 0,
+        "n_edges": paths[1],
         "diameter": p.diameter(),
-        "degree_histogram": degree_histogram,
-        "path_length_counts": {shell: n_paths(shell) for shell in range(1, p.n_rows)},
+        "degree_histogram": dict(rows[1]),
+        "path_length_counts": dict(enumerate(paths[1:-1], start=1)),
     }

@@ -10,6 +10,12 @@ def path_graph(n):
     return Graph(n, False, tuple((i, i + 1) for i in range(n - 1)))
 
 
+def grid_graph(rows, cols):
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, False, tuple(right + down))
+
+
 def complete_graph(n):
     return Graph(n, False, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 

@@ -360,6 +360,18 @@ class TestExperimentCommand:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("argv", [
+        ["rewiring-curve", "--repeats", "0"],
+        ["ensemble-distributions", "--n-nodes", "1", "--pairs", "1"],
+        ["rewiring-curve", "--n-nodes", "5", "--er-p", "1.0", "--models", "er",
+         "--rewirings", "10", "--repeats", "2"],
+        ["rewiring-curve", "--rewirings", "10,-1"],
+    ], ids=["no-repeats", "one-node", "budget-exhausted", "negative-rewirings"])
+    def test_bad_experiment_input_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, ["experiment", *argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, ["experiment", "ensemble-distributions",
                                     "--n-nodes", "25", "--avg-degree", "4",
@@ -368,6 +380,29 @@ class TestExperimentCommand:
         rows = json.loads(out)
         assert len(rows) == 3
         assert {r["condition"] for r in rows} == {"er-er", "ba-ba", "er-ba"}
+
+
+class TestSparsePortraits:
+    def test_commands_never_build_dense_counts(self, capsys, tmp_path, monkeypatch,
+                                               p3_file, k3_file):
+        from netportrait import Portrait
+
+        def dense(self):
+            raise AssertionError("dense portrait counts built")
+
+        monkeypatch.setattr(Portrait, "counts", property(dense))
+        w1, w2 = tmp_path / "w1.edges", tmp_path / "w2.edges"
+        w1.write_text("a b 1\nb c 2\nc d 0.5\n")
+        w2.write_text("a b 1\nb c 1\nc a 1\n")
+        weighted = [str(w1), str(w2), "--weighted", "--bins", "3"]
+        for argv in (["compare", p3_file, k3_file], ["compare", *weighted],
+                     ["matrix", p3_file, k3_file], ["matrix", *weighted],
+                     ["experiment", "rewiring-curve", "--n-nodes", "30", "--er-p", "0.15",
+                      "--ba-m", "2", "--repeats", "2", "--rewirings", "5"]):
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, "") and out
+        with pytest.raises(AssertionError, match="dense"):
+            main(["portrait", p3_file, "--format", "csv"])
 
 
 class TestOutputFile:

@@ -1,4 +1,6 @@
 import itertools
+import json
+from math import nan
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from graphtools import (
     complete_graph,
     desargues_graph,
     dodecahedral_graph,
+    grid_graph,
     hop_graphs,
     path_graph,
     permute_graph,
@@ -206,6 +209,12 @@ class TestHopEngineDifferential:
         g = path_graph(n)
         assert_hop_engine_matches(g, [[float(abs(s - v)) for v in range(n)] for s in range(n)])
 
+    @pytest.mark.parametrize("g", [path_graph(300), grid_graph(15, 15)], ids=["path", "grid"])
+    def test_high_diameter_graphs(self, g):
+        # hundreds of levels per batch, and for the path two batches of sources
+        rows = [oracles.dijkstra(g.n_nodes, g.edges, s) for s in range(g.n_nodes)]
+        assert_hop_engine_matches(g, rows)
+
 
 class TestBinSpec:
     def test_quantiles_median_split(self):
@@ -246,6 +255,31 @@ class TestBinSpec:
     def test_rejects_empty_lengths(self):
         with pytest.raises(ValueError):
             BinSpec.from_quantiles([], 3)
+
+    @pytest.mark.parametrize("edges", [(nan, 2.0), (1.0, nan), (1.0, nan, 2.0),
+                                       (1.0, 2.0, nan), (nan,) * 2])
+    def test_rejects_nan_edges(self, edges):
+        with pytest.raises(ValueError, match="nan"):
+            BinSpec(edges)
+
+    def test_quantiles_reject_nan_lengths(self):
+        with pytest.raises(ValueError, match="nan"):
+            BinSpec.from_quantiles([1.0, nan, 2.0], 2)
+
+    def test_nan_length_is_outside_bins(self):
+        spec = BinSpec((1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="path length nan outside"):
+            spec.bin_index(nan)
+        with pytest.raises(ValueError) as err:
+            spec.index_array(np.array([1.5, 9.0, nan]))
+        assert str(err.value) == "path length 9.0 outside bins (1.0, 2.0, 3.0)"
+        with pytest.raises(ValueError, match="path length nan outside"):
+            spec.index_array(np.array([3.0, nan, 1.0]))
+
+    def test_sorted_distinct_input_bins_as_any_other(self):
+        lengths = np.array([0.5, 1.0, 1.5, 4.0, 7.0])
+        for given in (lengths, lengths[::-1], np.repeat(lengths, 2), list(lengths)):
+            assert BinSpec.from_quantiles(given, 3).edges == (0.5, 1.0, 4.0, 7.0)
 
 
 class TestSharedBins:
@@ -468,6 +502,39 @@ class TestSerialization:
             p = portrait(g)
             assert Portrait.from_dict(p.to_dict()) == p
 
+    def test_padded_directed_and_weighted_round_trips(self):
+        arcs = Graph(4, True, ((0, 1), (1, 2), (3, 2)))
+        weighted = attach_weights(arcs, seed=5, kind="dyadic")
+        bins = BinSpec.from_quantiles(unique_path_lengths(weighted), 3)
+        for p in (pad_portrait(portrait(path_graph(4)), 6), portrait(arcs),
+                  pad_portrait(portrait(Graph(1, False, ())), 3),
+                  weighted_portrait(weighted, bins)):
+            back = Portrait.from_dict(json.loads(json.dumps(p.to_dict())))
+            assert back == p
+            assert np.array_equal(back.counts, p.counts)
+            assert back.reachable_pairs == p.reachable_pairs
+            assert joint_distribution(back) == joint_distribution(p)
+
+    @pytest.mark.parametrize("rows, bad", [
+        ([], "at least one row"),
+        ([[[1, 5]], [[1, -3]]], "row 0 "),  # once a joint with masses 2.5 and -1.5
+        ([[[1, 2]], [[1, 2], [-1, 0]]], "row 1 "),
+        ([[[1, 2]], [[0, 1], [2, 1]]], "row 1 "),
+        ([[[1, 2]], [[0, 1], [1, 1], [0, 0]]], "row 1 "),
+        ([[[1, 2.0]]], "row 0 "),
+        ([[[1, True], [0, 1]]], "row 0 "),
+        ([[[1, 1]]], "row 0 "),
+        ([[[1, 2, 0]]], "row 0 "),
+    ])
+    def test_from_dict_rejects_what_no_portrait_holds(self, rows, bad):
+        with pytest.raises(ValueError, match=bad):
+            Portrait.from_dict({"n_nodes": 2, "rows": rows})
+
+    @pytest.mark.parametrize("edges", [[nan], [1.0, nan], [2.0, 1.0], [0.0, 1.0]])
+    def test_from_dict_rejects_bad_bin_edges(self, edges):
+        with pytest.raises(ValueError, match="bin edge"):
+            Portrait.from_dict({"n_nodes": 2, "rows": [[[1, 2]], [[1, 2]]], "bin_edges": edges})
+
     def test_dict_shape(self):
         d = portrait(path_graph(3)).to_dict()
         assert d["n_nodes"] == 3
@@ -484,3 +551,11 @@ class TestSerialization:
     def test_dense_csv(self):
         text = portrait(path_graph(3)).to_dense_csv()
         assert text == "0,3,0\n0,2,1\n1,2,0\n"
+
+    def test_counts_is_a_read_only_view_of_the_cells(self):
+        p = portrait(path_graph(3))
+        assert p.keys.tolist() == [0 << 32 | 1, 1 << 32 | 1, 1 << 32 | 2, 2 << 32 | 1]
+        assert p.cell_counts.tolist() == [3, 2, 1, 2]
+        assert p.counts is p.counts
+        with pytest.raises(ValueError, match="read-only"):
+            p.counts[0, 0] = 1
