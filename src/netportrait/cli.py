@@ -225,6 +225,11 @@ def _cmd_experiment(args) -> str:
             raise UsageError(f"bad --rewirings list: {args.rewirings!r}") from None
         if not all(m in ("er", "ba") for m in models):
             raise UsageError(f"--models entries must be er or ba, got {args.models!r}")
+        # input errors (exit 2) in the flags' names, not the library's parameters
+        if args.repeats < 1:
+            raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+        if min(rewirings) < 0:
+            raise ValueError(f"--rewirings entries must be >= 0, got {args.rewirings!r}")
         try:
             rows = rewiring_curve(models=models, n_nodes=args.n_nodes, er_p=args.er_p,
                                   ba_m=args.ba_m, rewirings=rewirings,

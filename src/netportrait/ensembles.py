@@ -3,6 +3,11 @@
 All functions are deterministic given a seed: the stream is numpy's default
 PCG64 generator, so a (seed, parameters) pair reproduces the same graph on
 every run of the same environment. Independent seeds may run concurrently.
+
+Each function owns its generator. Preferential attachment and the rewirings
+draw their bounded integers through ``_bounded``: block reads of the raw
+stream under numpy's own ``integers(high)`` rule for high < 2^32 (Lemire, ACM
+TOMACS 2019), giving the values scalar ``rng.integers`` calls would, in order.
 """
 
 from __future__ import annotations
@@ -10,6 +15,41 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
+
+_LOW32 = 0xFFFFFFFF
+# raw 64-bit outputs read per block: two 32-bit draws each
+_RAW_BLOCK = 512
+
+
+def _bounded(rng: np.random.Generator):
+    """Return draw(high) giving, call by call, the values that successive
+    ``int(rng.integers(high))`` calls give for 1 <= high < 2^32.
+
+    As numpy's PCG64 does for 32-bit draws, it splits each raw 64-bit output
+    into its low and then its high half; as numpy's ``integers`` does, it maps
+    a half x to (x * high) >> 32, rejects the few x whose low product bits fall
+    below (2^32 - high) % high, and draws nothing when high == 1. It reads
+    ahead of the last value it returns, so ``rng`` must serve nothing else.
+    """
+    def halves():
+        while True:
+            raw = rng.bit_generator.random_raw(_RAW_BLOCK)
+            yield from np.stack([raw & _LOW32, raw >> 32], axis=1).ravel().tolist()
+
+    stream = halves()
+
+    def draw(high: int) -> int:
+        if not 1 <= high <= _LOW32:
+            raise ValueError(f"bounded draws need 1 <= high < 2**32, got {high}")
+        if high == 1:
+            return 0
+        threshold = (_LOW32 + 1 - high) % high
+        while True:
+            m = next(stream) * high
+            if m & _LOW32 >= threshold:
+                return m >> 32
+
+    return draw
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -30,13 +70,13 @@ def barabasi_albert(n: int, m: int, seed: int) -> Graph:
     distinct existing nodes with probability proportional to degree."""
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    rng = np.random.default_rng(seed)
+    draw = _bounded(np.random.default_rng(seed))
     edges = [(i, j) for i in range(m + 1) for j in range(i + 1, m + 1)]
     repeated = [node for edge in edges for node in edge]
     for new in range(m + 1, n):
         targets: set[int] = set()
         while len(targets) < m:
-            targets.add(repeated[int(rng.integers(len(repeated)))])
+            targets.add(repeated[draw(len(repeated))])
         for t in sorted(targets):
             edges.append((new, t))
             repeated.append(new)
@@ -60,12 +100,12 @@ def rewire_random(g: Graph, n_rewirings: int, seed: int) -> Graph:
     nodes, n_rewirings times. Edge count is preserved; insertions that would
     create a self-loop or duplicate are resampled within a bounded budget."""
     _rewirable(g, 1)
-    rng = np.random.default_rng(seed)
+    draw = _bounded(np.random.default_rng(seed))
     edges = list(g.edges)
     present = {_key(u, v) for u, v in edges}
     attempts_left = 100 * n_rewirings
     for _ in range(n_rewirings):
-        idx = int(rng.integers(len(edges)))
+        idx = draw(len(edges))
         present.discard(_key(*edges[idx]))
         edges[idx] = edges[-1]
         edges.pop()
@@ -73,8 +113,8 @@ def rewire_random(g: Graph, n_rewirings: int, seed: int) -> Graph:
             if attempts_left <= 0:
                 raise RuntimeError("rewiring attempt budget exhausted")
             attempts_left -= 1
-            u = int(rng.integers(g.n_nodes))
-            v = int(rng.integers(g.n_nodes))
+            u = draw(g.n_nodes)
+            v = draw(g.n_nodes)
             if u != v and _key(u, v) not in present:
                 present.add(_key(u, v))
                 edges.append((u, v))
@@ -87,7 +127,7 @@ def rewire_degree_preserving(g: Graph, n_rewirings: int, seed: int) -> Graph:
     """Double edge swap: replace edges (i,j),(u,v) by (i,u),(j,v) when neither
     new edge exists or collapses to a self-loop. Leaves every degree intact."""
     _rewirable(g, 2)
-    rng = np.random.default_rng(seed)
+    draw = _bounded(np.random.default_rng(seed))
     edges = list(g.edges)
     present = {_key(u, v) for u, v in edges}
     attempts_left = 100 * n_rewirings
@@ -96,8 +136,8 @@ def rewire_degree_preserving(g: Graph, n_rewirings: int, seed: int) -> Graph:
             if attempts_left <= 0:
                 raise RuntimeError("rewiring attempt budget exhausted")
             attempts_left -= 1
-            a = int(rng.integers(len(edges)))
-            b = int(rng.integers(len(edges)))
+            a = draw(len(edges))
+            b = draw(len(edges))
             if a == b:
                 continue
             i, j = edges[a]

@@ -251,16 +251,29 @@ def _hop_levels(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray):
         seen |= new
 
 
-# bit j of each byte value, for counting set bits per lane by byte histograms
-_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+# A byte lane sums at most 255 rows of bits without carrying into the next;
+# blocks of 16 such runs keep the unpacked bits (64 bytes per row and word) in
+# cache.
+_RUN_ROWS = 255
+_BLOCK_ROWS = 16 * _RUN_ROWS
 
 
 def _lane_counts(words: np.ndarray) -> np.ndarray:
-    """Set bits per lane of (n, W) uint64 words: 64 * W counts, lane 64 * w + j
-    counting bit j of word w."""
-    octets = words[words.any(axis=1)].astype("<u8", copy=False).view(np.uint8)
-    hist = [np.bincount(column, minlength=256) for column in octets.T]
-    return (np.array(hist) @ _BYTE_BITS).ravel()
+    """Set bits per lane of (n, W) uint64 words: 64 * W int64 counts, lane 64 * w + j
+    counting bit j of word w.
+
+    SIMD within a register: each nonzero row unpacks to one byte per lane,
+    viewed as uint64 words of 8 lanes each, so one add sums 8 lanes at once;
+    runs of up to 255 rows are summed that way and the byte sums then widened.
+    """
+    rows = words[words.any(axis=1)].astype("<u8", copy=False)
+    counts = np.zeros(64 * words.shape[1], dtype=np.int64)
+    for first in range(0, len(rows), _BLOCK_ROWS):
+        bits = np.unpackbits(rows[first:first + _BLOCK_ROWS].view(np.uint8), axis=1,
+                             bitorder="little")
+        runs = np.add.reduceat(bits.view(np.uint64), np.arange(0, len(bits), _RUN_ROWS), axis=0)
+        counts += runs.view(np.uint8).sum(axis=0, dtype=np.int64)
+    return counts
 
 
 def sssp_unweighted(g: Graph, source: int) -> np.ndarray:

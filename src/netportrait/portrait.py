@@ -21,7 +21,9 @@ sparse row) each graph keeps: 8 bytes per node and 12 per adjacency entry with
 its edge id, two entries per undirected edge; an undirected graph's weighted
 sweeps push over it too. A batch's temporaries are per level, chiefly the
 gathered frontier at 32 bytes per adjacency entry: about 0.8 MB at N = 4000
-with 12,000 undirected edges. Batches are independent and their order never
+with 12,000 undirected edges. Each level's nodes per source come from one
+blocked bit count over the level's nonzero rows, whose cost follows those rows,
+not a fixed per-level toll. Batches are independent and their order never
 affects the integer counts, so they could fan out across processes.
 """
 
@@ -151,7 +153,8 @@ class Portrait:
     @classmethod
     def from_dict(cls, data: dict) -> "Portrait":
         """Inverse of ``to_dict``; ValueError names any row that is not distinct k <
-        max(N, 2) with counts summing to N, all non-negative ints. Bin edges must be valid."""
+        max(N, 2) with counts summing to N, all non-negative ints. Bin edges must be
+        valid, with one row per edge: the self-shell, then one per bin."""
         n, rows, cells = int(data["n_nodes"]), data["rows"], {}
         if n < 1 or not rows:
             raise ValueError("a portrait needs n_nodes >= 1 and at least one row")
@@ -163,9 +166,14 @@ class Portrait:
                 raise ValueError(f"row {shell} is not a portrait row of {n} nodes: {row!r}")
             cells.update({shell << 32 | k: c for k, c in pairs.items() if k and c})
         bins = data.get("bin_edges")
+        if bins is not None:
+            bins = BinSpec(tuple(bins)).edges
+            if len(rows) != len(bins):
+                raise ValueError(f"{len(bins) - 1} bins need {len(bins)} rows, the self-shell "
+                                 f"and one per bin, got {len(rows)}")
         return cls(*np.array(sorted(cells.items()), dtype=np.int64).reshape(-1, 2).T,
                    n_rows=len(rows), n_nodes=n, directed=bool(data.get("directed", False)),
-                   bin_edges=BinSpec(tuple(bins)).edges if bins is not None else None)
+                   bin_edges=bins)
 
     def to_dense_csv(self) -> str:
         """Dense rows-by-k CSV (no header), for plotting."""
@@ -264,9 +272,13 @@ def make_shared_bins(g1: Graph, g2: Graph, n_bins: int,
 
 
 def pad_portrait(p: Portrait, target_rows: int) -> Portrait:
-    """Append empty shells (all N nodes in the k=0 cell) up to target_rows."""
+    """Append empty shells (all N nodes in the k=0 cell) up to target_rows. A
+    weighted portrait keeps one row per bin, so it cannot grow."""
     if target_rows < p.n_rows:
         raise ValueError(f"cannot pad {p.n_rows} rows down to {target_rows}")
+    if p.weighted and target_rows > p.n_rows:
+        raise ValueError(f"a weighted portrait has one row per bin; cannot pad it to "
+                         f"{target_rows} rows")
     return p if target_rows == p.n_rows else replace(p, n_rows=target_rows)
 
 

@@ -360,17 +360,19 @@ class TestExperimentCommand:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
-    @pytest.mark.parametrize("argv", [
-        ["rewiring-curve", "--repeats", "0"],
-        ["ensemble-distributions", "--n-nodes", "1", "--pairs", "1"],
-        ["rewiring-curve", "--n-nodes", "5", "--er-p", "1.0", "--models", "er",
-         "--rewirings", "10", "--repeats", "2"],
-        ["rewiring-curve", "--rewirings", "10,-1"],
+    @pytest.mark.parametrize("argv, message", [
+        (["rewiring-curve", "--repeats", "0"], "error: --repeats must be >= 1, got 0\n"),
+        (["ensemble-distributions", "--n-nodes", "1", "--pairs", "1"],
+         "error: ensembles need n_nodes >= 2, got 1\n"),
+        (["rewiring-curve", "--n-nodes", "5", "--er-p", "1.0", "--models", "er",
+          "--rewirings", "10", "--repeats", "2"], "error: rewiring attempt budget exhausted\n"),
+        (["rewiring-curve", "--rewirings", "10,-1"],
+         "error: --rewirings entries must be >= 0, got '10,-1'\n"),
     ], ids=["no-repeats", "one-node", "budget-exhausted", "negative-rewirings"])
-    def test_bad_experiment_input_is_input_error(self, capsys, argv):
+    def test_bad_experiment_input_is_input_error(self, capsys, argv, message):
         code, out, err = run(capsys, ["experiment", *argv])
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith(message) and "Traceback" not in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, ["experiment", "ensemble-distributions",

@@ -157,6 +157,34 @@ def assert_hop_engine_matches(g, rows):
 LANES = 64 * netportrait.graph._BFS_WORDS  # sources per batch of the hop-count engine
 
 
+def naive_lane_counts(words):
+    """Set bits per lane, one shift and mask per bit position."""
+    bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return bits.sum(axis=0, dtype=np.int64).ravel()
+
+
+class TestLaneCounts:
+    """The blocked bit count: byte lanes carry past 255 rows, and blocks end
+    every 16 runs of 255 rows."""
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 254, 255, 256, 16 * 255 - 1, 16 * 255,
+                                        16 * 255 + 1])
+    @pytest.mark.parametrize("n_words", [1, 4])
+    @pytest.mark.parametrize("fill", ["ones", "random"])
+    def test_equals_naive_count(self, n_rows, n_words, fill):
+        rng = np.random.default_rng([n_rows, n_words])
+        if fill == "ones":
+            words = np.full((n_rows, n_words), np.iinfo(np.uint64).max, dtype=np.uint64)
+        else:
+            words = rng.integers(0, 2 ** 64, (n_rows, n_words), dtype=np.uint64)
+            words[rng.random(n_rows) < 0.1] = 0  # rows the kernel skips
+        got = netportrait.graph._lane_counts(words)
+        assert got.dtype == np.int64 and got.shape == (64 * n_words,)
+        assert got.tolist() == naive_lane_counts(words).tolist()
+        if fill == "ones":
+            assert got.tolist() == [n_rows] * 64 * n_words
+
+
 class TestHopEngineDifferential:
     """The bit-parallel multi-source BFS against the brute-force oracles."""
 
@@ -213,6 +241,26 @@ class TestHopEngineDifferential:
     def test_high_diameter_graphs(self, g):
         # hundreds of levels per batch, and for the path two batches of sources
         rows = [oracles.dijkstra(g.n_nodes, g.edges, s) for s in range(g.n_nodes)]
+        assert_hop_engine_matches(g, rows)
+
+    @pytest.mark.parametrize("g, centre", [
+        (Graph(301, False, tuple((i, 300) for i in range(300))), 300),
+        (complete_graph(300), None),
+    ], ids=["star", "complete"])
+    def test_lanes_past_one_byte(self, g, centre):
+        # frontiers of ~300 rows set nearly every lane, so lane counts pass 255:
+        # a star K_{1,300} with its centre at the highest id, in the second
+        # batch of sources, and K_300. Swapping two leaves (any two nodes of
+        # K_300) is an automorphism, so Dijkstra from node 0 gives each leaf's
+        # row with entries 0 and s swapped; the centre gets its own.
+        first = oracles.dijkstra(g.n_nodes, g.edges, 0)
+        rows = []
+        for s in range(g.n_nodes):
+            row = list(first)
+            row[0], row[s] = row[s], row[0]
+            rows.append(row)
+        if centre is not None:
+            rows[centre] = oracles.dijkstra(g.n_nodes, g.edges, centre)
         assert_hop_engine_matches(g, rows)
 
 
@@ -467,6 +515,13 @@ class TestPadding:
         with pytest.raises(ValueError):
             pad_portrait(portrait(path_graph(4)), 1)
 
+    def test_weighted_portrait_keeps_one_row_per_bin(self):
+        g = Graph(3, False, ((0, 1), (1, 2)), weights=(1.0, 2.0))
+        p = weighted_portrait(g, BinSpec((1.0, 2.0, 3.0)), "identity")
+        assert pad_portrait(p, p.n_rows) is p
+        with pytest.raises(ValueError, match="one row per bin"):
+            pad_portrait(p, p.n_rows + 1)
+
 
 class TestIdentities:
     def test_p3(self):
@@ -534,6 +589,15 @@ class TestSerialization:
     def test_from_dict_rejects_bad_bin_edges(self, edges):
         with pytest.raises(ValueError, match="bin edge"):
             Portrait.from_dict({"n_nodes": 2, "rows": [[[1, 2]], [[1, 2]]], "bin_edges": edges})
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 4])
+    def test_from_dict_rejects_rows_that_do_not_fit_the_bins(self, n_rows):
+        # two bins: the self-shell and one row per bin make three rows
+        data = {"n_nodes": 2, "rows": [[[1, 2]]] * n_rows, "bin_edges": [1.0, 2.0, 3.0]}
+        with pytest.raises(ValueError, match=f"2 bins need 3 rows.*got {n_rows}"):
+            Portrait.from_dict(data)
+        back = Portrait.from_dict({**data, "rows": [[[1, 2]]] * 3})
+        assert back.n_rows == 3 and back.bin_edges == (1.0, 2.0, 3.0)
 
     def test_dict_shape(self):
         d = portrait(path_graph(3)).to_dict()
