@@ -13,6 +13,7 @@ import json
 import os
 import stat
 import sys
+import warnings
 from dataclasses import asdict
 
 from .divergence import _jsd_matrix, _legacy_delta, _report, joint_distribution, \
@@ -104,12 +105,17 @@ def _check_weighted_flags(args) -> None:
 
 
 def _load(path: str, args) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse one edge list; each warning of the parse goes to stderr with the file's name."""
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
         try:
-            return parse_edge_list(fh, directed=args.directed, weighted=args.weighted)
+            g = parse_edge_list(fh, directed=args.directed, weighted=args.weighted)
         except GraphParseError as exc:
             exc.args = (f"{path}: {exc}",)
             raise
+    for w in seen:
+        print(f"warning: {path}: {w.message}", file=sys.stderr)
+    return g
 
 
 def _check_output(output: str) -> None:
@@ -211,8 +217,26 @@ def _cmd_portrait(args) -> str:
     return p.to_dense_csv()
 
 
+def _check_experiment_flags(args, models: tuple[str, ...]) -> None:
+    """Input errors (exit 2) in the flags' names, not the library's parameters."""
+    n = args.n_nodes
+    checks = [("--seed", args.seed >= 0, ">= 0"), ("--n-nodes", n >= 2, ">= 2")]
+    if args.name == "ensemble-distributions":
+        checks += [("--pairs", args.pairs >= 1, ">= 1"),
+                   ("--avg-degree", 0 <= args.avg_degree <= n - 1, f"from 0 to {n - 1}")]
+    else:
+        checks += [("--repeats", args.repeats >= 1, ">= 1"),
+                   ("--er-p", "er" not in models or 0 <= args.er_p <= 1, "from 0 to 1"),
+                   ("--ba-m", "ba" not in models or 1 <= args.ba_m < n, f"from 1 to {n - 1}")]
+    for flag, ok, want in checks:  # written so that a NaN fails
+        if not ok:
+            got = getattr(args, flag[2:].replace("-", "_"))
+            raise ValueError(f"{flag} must be {want}, got {got}")
+
+
 def _cmd_experiment(args) -> str:
     if args.name == "ensemble-distributions":
+        _check_experiment_flags(args, ())
         rows = ensemble_distributions(n_nodes=args.n_nodes, avg_degree=args.avg_degree,
                                       n_pairs=args.pairs, seed=args.seed)
         header = "condition,pair,d_js"
@@ -225,9 +249,7 @@ def _cmd_experiment(args) -> str:
             raise UsageError(f"bad --rewirings list: {args.rewirings!r}") from None
         if not all(m in ("er", "ba") for m in models):
             raise UsageError(f"--models entries must be er or ba, got {args.models!r}")
-        # input errors (exit 2) in the flags' names, not the library's parameters
-        if args.repeats < 1:
-            raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+        _check_experiment_flags(args, models)
         if min(rewirings) < 0:
             raise ValueError(f"--rewirings entries must be >= 0, got {args.rewirings!r}")
         try:

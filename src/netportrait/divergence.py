@@ -19,8 +19,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .graph import Graph
-from .portrait import BinSpec, Portrait, make_shared_bins, pad_portrait, portrait, \
-    weighted_portrait
+from .portrait import BinSpec, Portrait, make_shared_bins, portrait, weighted_portrait
 
 Cell = tuple[int, int]
 
@@ -96,7 +95,7 @@ class DivergenceReport:
 def joint_distribution(p: Portrait) -> JointDistribution:
     """Joint (shell, k) distribution of a portrait.
 
-    mass(shell, k) = k * counts[shell][k] / S, where S is the total count of
+    mass(shell, k) = k * (nodes in cell (shell, k)) / S, where S is the total count of
     ordered reachable pairs including self-pairs; k=0 cells carry no mass, so
     padding a portrait never changes its joint distribution.
     """
@@ -203,19 +202,31 @@ def weighted_portrait_divergence(g1: Graph, g2: Graph, n_bins: int = 100,
 def legacy_delta(g1: Graph, g2: Graph) -> float:
     """Row-wise Kolmogorov-Smirnov comparator between two portraits.
 
-    Portraits are padded to a common shell count; each shell contributes its
-    KS statistic between the row-wise cumulative distributions, averaged with
-    weights proportional to the shells' k>0 occupancy in both graphs.
+    Each shell contributes its KS statistic between the row-wise cumulative
+    distributions, averaged with weights proportional to the shells' k>0
+    occupancy in both graphs. Shells past a portrait's last hold all of its N
+    nodes at k = 0, and rows run to k = max(N1, N2); both paddings are implied
+    by the cells, never built.
     """
     return _legacy_delta(portrait(g1), portrait(g2))
 
 
 def _legacy_delta(p1: Portrait, p2: Portrait) -> float:
-    rows, cols = max(p1.n_rows, p2.n_rows), max(p1.n_nodes, p2.n_nodes, 2)
-    b1, b2 = (np.pad(pad_portrait(p, rows).counts, ((0, 0), (0, cols - max(p.n_nodes, 2))))
-              for p in (p1, p2))
-
-    c1, c2 = (np.cumsum(b, axis=1) / b.sum(axis=1, keepdims=True) for b in (b1, b2))
-    ks = np.abs(c1 - c2).max(axis=1)
-    alpha = b1[:, 1:].sum(axis=1) + b2[:, 1:].sum(axis=1)
+    # A shell's cumulative distribution steps only at its occupied k and at k = 0,
+    # so its KS maximum is read on the union of both portraits' keys and every
+    # shell's k = 0 key. One running count over that axis, less the N nodes of each
+    # shell before, is each shell's integer cumsum, divided by N as a dense row's is.
+    rows = max(p1.n_rows, p2.n_rows)
+    zero_keys = np.arange(rows, dtype=np.int64) << 32
+    axis = np.unique(np.concatenate([zero_keys, p1.keys, p2.keys]))
+    starts = np.searchsorted(axis, zero_keys)
+    occupied, cdfs = [], []
+    for p in (p1, p2):
+        occupied.append(np.bincount(p.keys >> 32, p.cell_counts, rows).astype(np.int64))
+        run = np.zeros(axis.size, dtype=np.int64)
+        run[starts] = p.n_nodes - occupied[-1]
+        run[np.searchsorted(axis, p.keys)] = p.cell_counts
+        cdfs.append((np.cumsum(run) - (axis >> 32) * p.n_nodes) / p.n_nodes)
+    ks = np.maximum.reduceat(np.abs(cdfs[0] - cdfs[1]), starts)
+    alpha = occupied[0] + occupied[1]
     return float((alpha * ks).sum() / alpha.sum())

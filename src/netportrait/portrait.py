@@ -9,7 +9,8 @@ lengths so each bin holds roughly the same number of distinct lengths.
 
 A portrait is immutable and stores its occupied k >= 1 cells only, 16 bytes
 each; ``counts`` is a read-only dense view of rows x max(N, 2) x 8 bytes, built
-on first use, which ``portrait --format csv`` and ``compare --legacy`` pay for.
+on first use, which only the dense CSV dump (``portrait --format csv``) pays for:
+the JSD and the KS comparator both read the cells.
 Portraits come from ``portrait``, ``weighted_portrait`` or ``Portrait.from_dict``.
 Bins and binned portraits of a graph share one all-sources shortest-path sweep
 per transform, kept on the graph in the batches of sources it ran in (8 bytes
@@ -153,8 +154,9 @@ class Portrait:
     @classmethod
     def from_dict(cls, data: dict) -> "Portrait":
         """Inverse of ``to_dict``; ValueError names any row that is not distinct k <
-        max(N, 2) with counts summing to N, all non-negative ints. Bin edges must be
-        valid, with one row per edge: the self-shell, then one per bin."""
+        max(N, 2) with counts summing to N, all non-negative ints, and any row 0 that
+        is not the self-shell [[1, N]]. Bin edges must be valid, with one row per
+        edge: the self-shell, then one per bin."""
         n, rows, cells = int(data["n_nodes"]), data["rows"], {}
         if n < 1 or not rows:
             raise ValueError("a portrait needs n_nodes >= 1 and at least one row")
@@ -164,6 +166,8 @@ class Portrait:
                     and all(type(x) is int and x >= 0 for x in [*pairs, *pairs.values()])
                     and max(pairs, default=0) < max(n, 2) and sum(pairs.values()) == n):
                 raise ValueError(f"row {shell} is not a portrait row of {n} nodes: {row!r}")
+            if shell == 0 and pairs.get(1) != n:  # each node alone in its self-shell
+                raise ValueError(f"row 0 is not the self-shell [[1, {n}]]: {row!r}")
             cells.update({shell << 32 | k: c for k, c in pairs.items() if k and c})
         bins = data.get("bin_edges")
         if bins is not None:
@@ -177,7 +181,7 @@ class Portrait:
 
     def to_dense_csv(self) -> str:
         """Dense rows-by-k CSV (no header), for plotting."""
-        return "\n".join(",".join(str(int(c)) for c in row) for row in self.counts) + "\n"
+        return "\n".join(",".join(map(str, row)) for row in self.counts.tolist()) + "\n"
 
 
 def _cells(batches: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:

@@ -4,11 +4,15 @@ Everything here is deliberately naive and independent of the package
 implementation: distances come from Floyd-Warshall or a heapq Dijkstra (not
 the package's sweeps), portraits from direct counting over the full distance
 matrix, divergences from explicit sums over dict-based sparse distributions.
+The one numpy oracle, ``dense_ks_delta``, keeps the dense-matrix arithmetic of
+the KS comparator, which the package's cell version must match bit for bit.
 Keep it that way -- these oracles exist to catch bugs in the fast paths.
 """
 
 import heapq
 import math
+
+import numpy as np
 
 INF = math.inf
 
@@ -211,6 +215,24 @@ def ks_delta(n1, edges1, n2, edges2):
         num += alpha * k_stat
         den += alpha
     return num / den
+
+
+def dense_ks_delta(counts1, counts2):
+    """The row-wise KS comparator on two dense rows x k count matrices (pass
+    ``Portrait.counts``), computed as the package did before it read portrait
+    cells: both matrices padded to common rows, the extra shells holding all N
+    nodes at k = 0, and to common columns, then one cumsum per row divided by the
+    row's sum. The package's cell version must equal it bit for bit."""
+    rows = max(len(counts1), len(counts2))
+    cols = max(counts1.shape[1], counts2.shape[1])
+    b1, b2 = (np.pad(c, ((0, rows - len(c)), (0, cols - c.shape[1]))) for c in (counts1, counts2))
+    for b, c in ((b1, counts1), (b2, counts2)):
+        b[len(c):, 0] = c[0].sum()
+
+    c1, c2 = (np.cumsum(b, axis=1) / b.sum(axis=1, keepdims=True) for b in (b1, b2))
+    ks = np.abs(c1 - c2).max(axis=1)
+    alpha = b1[:, 1:].sum(axis=1) + b2[:, 1:].sum(axis=1)
+    return float((alpha * ks).sum() / alpha.sum())
 
 
 def spearman(xs, ys):

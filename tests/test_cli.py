@@ -296,6 +296,19 @@ class TestMatrix:
         assert code == 2
         assert out == ""
 
+    def test_edge_list_warnings_name_each_file(self, capsys, tmp_path, p3_file):
+        l1, l2, clean = (tmp_path / name for name in ("l1.edges", "l2.edges", "clean.edges"))
+        l1.write_text("a a\na b\n")
+        l2.write_text("x x\ny x\nx y\n")
+        clean.write_text("a b\n")
+        code, out, err = run(capsys, ["matrix", str(l1), str(l2), p3_file])
+        assert code == 0
+        assert err == (f"warning: {l1}: dropped 1 self-loop(s)\n"
+                       f"warning: {l2}: dropped 1 self-loop(s)\n"
+                       f"warning: {l2}: collapsed 1 duplicate edge(s) (kept first)\n")
+        _, want, _ = run(capsys, ["matrix", str(clean), str(clean), p3_file])
+        assert out == want.replace("clean.edges,clean.edges", "l1.edges,l2.edges", 1)
+
 
 class TestPortraitCommand:
     def test_json(self, capsys, p3_file):
@@ -363,12 +376,29 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("argv, message", [
         (["rewiring-curve", "--repeats", "0"], "error: --repeats must be >= 1, got 0\n"),
         (["ensemble-distributions", "--n-nodes", "1", "--pairs", "1"],
-         "error: ensembles need n_nodes >= 2, got 1\n"),
+         "error: --n-nodes must be >= 2, got 1\n"),
         (["rewiring-curve", "--n-nodes", "5", "--er-p", "1.0", "--models", "er",
           "--rewirings", "10", "--repeats", "2"], "error: rewiring attempt budget exhausted\n"),
         (["rewiring-curve", "--rewirings", "10,-1"],
          "error: --rewirings entries must be >= 0, got '10,-1'\n"),
-    ], ids=["no-repeats", "one-node", "budget-exhausted", "negative-rewirings"])
+        (["rewiring-curve", "--n-nodes", "0"], "error: --n-nodes must be >= 2, got 0\n"),
+        (["ensemble-distributions", "--pairs", "0"], "error: --pairs must be >= 1, got 0\n"),
+        (["ensemble-distributions", "--pairs", "-3"], "error: --pairs must be >= 1, got -3\n"),
+        (["ensemble-distributions", "--avg-degree", "nan"],
+         "error: --avg-degree must be from 0 to 299, got nan\n"),
+        (["ensemble-distributions", "--avg-degree", "inf"],
+         "error: --avg-degree must be from 0 to 299, got inf\n"),
+        (["ensemble-distributions", "--n-nodes", "10", "--avg-degree", "9.5"],
+         "error: --avg-degree must be from 0 to 9, got 9.5\n"),
+        (["rewiring-curve", "--er-p", "1.5"], "error: --er-p must be from 0 to 1, got 1.5\n"),
+        (["rewiring-curve", "--er-p", "nan"], "error: --er-p must be from 0 to 1, got nan\n"),
+        (["rewiring-curve", "--ba-m", "0"], "error: --ba-m must be from 1 to 299, got 0\n"),
+        (["rewiring-curve", "--n-nodes", "4", "--ba-m", "4"],
+         "error: --ba-m must be from 1 to 3, got 4\n"),
+        (["rewiring-curve", "--seed", "-1"], "error: --seed must be >= 0, got -1\n"),
+    ], ids=["no-repeats", "one-node", "budget-exhausted", "negative-rewirings", "no-nodes",
+            "no-pairs", "negative-pairs", "nan-degree", "infinite-degree", "dense-degree",
+            "er-p-above-one", "nan-er-p", "no-ba-m", "ba-m-of-n", "negative-seed"])
     def test_bad_experiment_input_is_input_error(self, capsys, argv, message):
         code, out, err = run(capsys, ["experiment", *argv])
         assert (code, out) == (2, "")
@@ -398,6 +428,8 @@ class TestSparsePortraits:
         w2.write_text("a b 1\nb c 1\nc a 1\n")
         weighted = [str(w1), str(w2), "--weighted", "--bins", "3"]
         for argv in (["compare", p3_file, k3_file], ["compare", *weighted],
+                     ["compare", p3_file, k3_file, "--legacy", "--format", "json"],
+                     ["compare", p3_file, k3_file, "--legacy", "--format", "csv"],
                      ["matrix", p3_file, k3_file], ["matrix", *weighted],
                      ["experiment", "rewiring-curve", "--n-nodes", "30", "--er-p", "0.15",
                       "--ba-m", "2", "--repeats", "2", "--rewirings", "5"]):

@@ -336,3 +336,27 @@ class TestLegacyDelta:
         for g1, g2 in zip(pool[::2], pool[1::2]):
             want = oracles.ks_delta(g1.n_nodes, g1.edges, g2.n_nodes, g2.edges)
             assert legacy_delta(g1, g2) == pytest.approx(want, abs=1e-12)
+
+    def test_cells_equal_dense_oracle_on_pool(self):
+        portraits = [portrait(g) for g in random_graph_pool(300, seed=7)]
+        for p1, p2 in zip(portraits, portraits[1:]):
+            want = oracles.dense_ks_delta(p1.counts, p2.counts)
+            assert netportrait.divergence._legacy_delta(p1, p2) == want
+
+    @pytest.mark.parametrize("g1, g2", [
+        (Graph(1, False, ()), Graph(1, False, ())),
+        (Graph(1, False, ()), Graph(2, False, ((0, 1),))),
+        (Graph(2, False, ()), Graph(2, False, ((0, 1),))),
+        (Graph(5, False, ()), path_graph(5)),
+        (Graph(3, True, ((0, 1), (1, 2))), Graph(4, True, ((0, 1), (1, 2), (2, 3), (3, 0)))),
+        (Graph(6, True, ((0, 1), (2, 1), (3, 4))), path_graph(2)),
+        (path_graph(40), complete_graph(7)),
+        (path_graph(3), Graph(9, False, ((0, 1), (2, 3), (4, 5), (5, 6)))),
+        (dodecahedral_graph(), desargues_graph()),
+    ], ids=["one-one", "one-two", "edgeless-edge", "edgeless-path", "directed",
+            "directed-isolated", "long-short", "connected-disconnected", "same-portrait"])
+    def test_cells_equal_dense_oracle_at_the_edges(self, g1, g2):
+        for p1, p2 in ((portrait(g1), portrait(g2)), (portrait(g2), portrait(g1)),
+                       (pad_portrait(portrait(g1), 50), portrait(g2))):
+            want = oracles.dense_ks_delta(p1.counts, p2.counts)
+            assert netportrait.divergence._legacy_delta(p1, p2) == want

@@ -580,6 +580,9 @@ class TestSerialization:
         ([[[1, True], [0, 1]]], "row 0 "),
         ([[[1, 1]]], "row 0 "),
         ([[[1, 2, 0]]], "row 0 "),
+        ([[[0, 2]]], "row 0 is not the self-shell"),  # once diameter() raised IndexError
+        ([[[1, 1], [0, 1]]], "row 0 is not the self-shell"),
+        ([[[0, 2]], [[1, 2]]], "row 0 is not the self-shell"),
     ])
     def test_from_dict_rejects_what_no_portrait_holds(self, rows, bad):
         with pytest.raises(ValueError, match=bad):
